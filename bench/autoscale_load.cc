@@ -1,6 +1,5 @@
 // Self-driving control plane under a 10x load ramp: the Orchestrator runs inside a
-// placed LoopGroup deployment (5 replicas on their own lanes, 2 starting coordinators,
-// 3 regional clients) while the offered load steps from ~150 ops/s to ~1500 ops/s
+// sharded deployment (5 replicas, 2 starting coordinators, 3 regional clients) while the offered load steps from ~150 ops/s to ~1500 ops/s
 // mid-run and back. Arrivals are open-loop and hand-scheduled in virtual time — the
 // ramp does not wait for completions, so the shard queues genuinely overflow — and
 // every overload shed is retried with a virtual-time backoff, exactly the workload the
@@ -33,7 +32,6 @@
 #include "src/harness/deployment.h"
 #include "src/harness/executors.h"
 #include "src/harness/orchestrator.h"
-#include "src/sim/loop_group.h"
 
 namespace icg {
 namespace {
@@ -168,15 +166,10 @@ int main(int argc, char** argv) {
 
   bench::PrintHeader(
       "Self-driving control plane: 10x load ramp",
-      "Open-loop arrivals against a placed 5-replica deployment starting at 2\n"
+      "Open-loop arrivals against a 5-replica deployment starting at 2\n"
       "coordinators. Offered load steps 150 -> 1500 -> 150 ops/s; the Orchestrator\n"
       "samples router snapshots every 250ms of virtual time and drives the batch\n"
       "window and the coordinator ring itself. Sheds retry; the oracle rides along.");
-
-  LoopGroup::Options group_options;
-  group_options.threads = 4;
-  group_options.quantum = Millis(2);
-  LoopGroup group(group_options);
 
   SimWorld world(seed);
   CassandraBindingConfig binding;
@@ -194,11 +187,9 @@ int main(int argc, char** argv) {
     stack.cluster->Preload(Key(i), "init");
   }
 
-  IntraWorldPlacement placement = PlaceShardsAcrossLoops(group, world, stack);
-
   OrchestratorOptions orch_options;
   orch_options.min_coordinators = 2;
-  Orchestrator orchestrator(&group, &world, &stack, orch_options);
+  Orchestrator orchestrator(&world, &stack, orch_options);
   orchestrator.Start();
 
   TrialState state;
@@ -244,9 +235,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  group.RunUntil(run_end);
+  front->RunUntil(run_end);
   orchestrator.Stop();
-  group.RunAll();
+  front->Run();
 
   // Phase throughputs from the completion buckets. "Follows within 2 control
   // intervals" is the gate: by ramp_start + 500ms the completion rate must already be

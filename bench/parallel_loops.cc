@@ -1,7 +1,7 @@
 // Parallel sharded executors: W independent sharded-Cassandra worlds (each with its own
-// 3-client closed-loop YCSB load) pinned to one LoopGroup, driven once sequentially and
-// once on real threads. Virtual-time results must be bit-for-bit identical across the
-// two modes (the LoopGroup determinism contract); the threaded mode is then judged on
+// 3-client closed-loop YCSB load) run once in order on one thread and once with one
+// thread per world (RunWorldsUntil). Worlds share nothing, so virtual-time results must
+// be bit-for-bit identical across the two modes; the threaded mode is then judged on
 // wall-clock speedup with a core-count-aware gate:
 //
 //   >= 4 cores: threaded must finish the same simulation >= 2.0x faster,
@@ -16,12 +16,12 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/harness/deployment.h"
 #include "src/harness/executors.h"
-#include "src/sim/loop_group.h"
 #include "src/ycsb/multi_runner.h"
 
 namespace icg {
@@ -42,19 +42,13 @@ struct TrialOutcome {
   double throughput_ops = 0;  // aggregate simulated ops/s across all worlds
   int64_t measured_ops = 0;
   int64_t errors = 0;
-  int64_t rounds = 0;
   std::vector<ClientStats> per_world_stats;  // merged per world, for cross-mode equality
 };
 
-// Builds W worlds, pins each to the group, runs every world's MultiRunner through the
-// group, and collects wall-clock + merged simulated results.
+// Builds W worlds, runs every world's MultiRunner to the horizon on `threads` threads,
+// and collects wall-clock + merged simulated results.
 TrialOutcome RunTrial(int threads, int runner_threads, SimDuration duration,
                       SimDuration elide, uint64_t seed) {
-  LoopGroup::Options options;
-  options.threads = threads;
-  options.quantum = Millis(10);
-  LoopGroup group(options);
-  ClientStatsGroup stats(kWorlds);
 
   CassandraBindingConfig binding;
   binding.strong_read_quorum = 2;
@@ -86,29 +80,30 @@ TrialOutcome RunTrial(int threads, int runner_threads, SimDuration duration,
                           MakeKvExecutor(frk.client.get(), KvMode::kIcg));
     bw->runner->AddClient(workload, ws * 3 + 3,
                           MakeKvExecutor(vrg.client.get(), KvMode::kIcg));
-    PinWorld(group, bw->world);
     worlds.push_back(std::move(bw));
   }
 
+  std::vector<SimWorld*> sim_worlds;
   const auto start = std::chrono::steady_clock::now();
   for (auto& bw : worlds) {
     bw->runner->Begin();
+    sim_worlds.push_back(&bw->world);
   }
-  group.RunUntil(duration + 2 * elide + Seconds(5));
+  RunWorldsUntil(sim_worlds, duration + 2 * elide + Seconds(5), threads);
   const auto stop = std::chrono::steady_clock::now();
 
   TrialOutcome outcome;
   outcome.wall_seconds = std::chrono::duration<double>(stop - start).count();
-  outcome.rounds = group.rounds();
-  for (int w = 0; w < kWorlds; ++w) {
-    const RunnerResult r = worlds[static_cast<size_t>(w)]->runner->Collect();
+  for (const auto& bw : worlds) {
+    const RunnerResult r = bw->runner->Collect();
     outcome.throughput_ops += r.throughput_ops;
     outcome.measured_ops += r.measured_ops;
     outcome.errors += r.errors;
-    for (const auto& endpoint : worlds[static_cast<size_t>(w)]->stack->endpoints()) {
-      stats.Absorb(static_cast<size_t>(w), endpoint->client->stats());
+    ClientStats world_stats;
+    for (const auto& endpoint : bw->stack->endpoints()) {
+      AddClientStats(world_stats, endpoint->client->stats());
     }
-    outcome.per_world_stats.push_back(stats.ForLoop(static_cast<size_t>(w)));
+    outcome.per_world_stats.push_back(world_stats);
   }
   return outcome;
 }
@@ -133,10 +128,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  const int cores = LoopGroup::HardwareThreads();
-  // Always drive at least 2 worker threads so the threaded path (and its determinism
-  // oracle) is exercised even on a 1-core box — where the wall-clock comparison then
-  // measures oversubscription, not scaling, and is recorded with speedup_gated=0.
+  const int cores = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  // Always run at least 2 threads so the threaded path (and its determinism oracle) is
+  // exercised even on a 1-core box — where the wall-clock comparison then measures
+  // oversubscription, not scaling, and is recorded with speedup_gated=0.
   const int threaded_width = std::max(2, std::min(cores, kWorlds));
   const int runner_threads = smoke ? 12 : 24;
   const SimDuration duration = smoke ? Seconds(4) : Seconds(20);
@@ -144,9 +139,9 @@ int main(int argc, char** argv) {
   const uint64_t seed = 42;
 
   bench::PrintHeader(
-      "Parallel sharded executors: LoopGroup wall-clock scaling",
+      "Parallel sharded executors: one thread per world",
       "4 independent sharded-Cassandra worlds, each under 3-client closed-loop YCSB-B.\n"
-      "Same simulation driven sequentially and on real threads; virtual-time results\n"
+      "Same simulation run sequentially and on real threads; virtual-time results\n"
       "must match bit-for-bit, then the threaded mode is timed.");
 
   const TrialOutcome sequential =
@@ -158,7 +153,6 @@ int main(int argc, char** argv) {
   // observable must match the sequential run exactly.
   bool deterministic = sequential.measured_ops == threaded.measured_ops &&
                        sequential.errors == threaded.errors &&
-                       sequential.rounds == threaded.rounds &&
                        std::abs(sequential.throughput_ops - threaded.throughput_ops) < 1e-9;
   for (int w = 0; w < kWorlds && deterministic; ++w) {
     deterministic = StatsEqual(sequential.per_world_stats[static_cast<size_t>(w)],
@@ -170,21 +164,20 @@ int main(int argc, char** argv) {
                              : 0.0;
 
   bench::Table table({"mode", "wall (s)", "sim throughput (ops/s)", "measured ops",
-                      "errors", "rounds"});
+                      "errors"});
   table.AddRow({"sequential", bench::Fmt(sequential.wall_seconds, 2),
                 bench::Fmt(sequential.throughput_ops, 0),
                 std::to_string(sequential.measured_ops),
-                std::to_string(sequential.errors), std::to_string(sequential.rounds)});
+                std::to_string(sequential.errors)});
   table.AddRow({"threads=" + std::to_string(threaded_width),
                 bench::Fmt(threaded.wall_seconds, 2),
                 bench::Fmt(threaded.throughput_ops, 0),
-                std::to_string(threaded.measured_ops), std::to_string(threaded.errors),
-                std::to_string(threaded.rounds)});
+                std::to_string(threaded.measured_ops), std::to_string(threaded.errors)});
   table.Print();
 
   // The wall-clock comparison only gates where the hardware can actually run the
   // worlds concurrently; a 1-core box recording speedup < 1 is expected (the threaded
-  // run pays barrier + context-switch overhead with zero parallelism available) and is
+  // run pays thread + context-switch overhead with zero parallelism available) and is
   // flagged speedup_gated=0 so baseline checkers skip it rather than "fail" it.
   double bar = 0.0;
   if (!smoke) {
@@ -218,9 +211,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Core-count-aware scaling gate. Smoke trials are too short to amortize barrier
-  // overhead (tens of microseconds of work per round), so they gate on determinism and
-  // errors only and report the speedup informationally.
+  // Core-count-aware scaling gate. Smoke trials are too short to amortize thread
+  // start-up and are noisy on shared runners, so they gate on determinism and errors
+  // only and report the speedup informationally.
   std::printf("cores=%d threaded_width=%d speedup=%.2fx (gate: %s)\n", cores,
               threaded_width, speedup,
               bar > 0 ? (std::to_string(bar) + "x").c_str()

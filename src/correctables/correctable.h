@@ -496,43 +496,54 @@ template <typename T>
 Correctable<std::vector<T>> WhenAll(const std::vector<Correctable<T>>& parts) {
   struct AggState {
     CorrectableSource<std::vector<T>> out;
-    std::vector<Correctable<T>> parts;
+    // Each part's latest view. The parts themselves are not held: their callbacks
+    // hold this state, so holding them back would form a reference cycle that leaks
+    // every aggregate with a part that never terminates.
+    std::vector<std::optional<View<T>>> latest;
     size_t finals = 0;
   };
   auto st = PooledMakeShared<AggState>();
-  st->parts = parts;
 
   if (parts.empty()) {
     st->out.Close({}, ConsistencyLevel::kStrong);
     return st->out.GetCorrectable();
   }
+  st->latest.resize(parts.size());
+  for (size_t i = 0; i < parts.size(); ++i) {
+    if (parts[i].HasView()) {
+      st->latest[i] = parts[i].LatestView();
+    }
+  }
 
   auto snapshot = [st]() -> std::optional<std::pair<std::vector<T>, ConsistencyLevel>> {
     std::vector<T> values;
-    values.reserve(st->parts.size());
+    values.reserve(st->latest.size());
     auto weakest = ConsistencyLevel::kStrong;
-    for (const auto& p : st->parts) {
-      if (!p.HasView()) {
+    for (const auto& view : st->latest) {
+      if (!view.has_value()) {
         return std::nullopt;
       }
-      values.push_back(p.LatestView().value);
-      if (IsStronger(weakest, p.LatestView().level)) {
-        weakest = p.LatestView().level;
+      values.push_back(view->value);
+      if (IsStronger(weakest, view->level)) {
+        weakest = view->level;
       }
     }
     return std::make_pair(std::move(values), weakest);
   };
 
-  for (auto& part : st->parts) {
-    part.OnUpdate([st, snapshot](const View<T>&) {
+  for (size_t i = 0; i < parts.size(); ++i) {
+    Correctable<T> part = parts[i];
+    part.OnUpdate([st, snapshot, i](const View<T>& v) {
+      st->latest[i] = v;
       if (auto snap = snapshot()) {
         st->out.Update(std::move(snap->first), snap->second);
       }
     });
-    part.OnFinal([st, snapshot](const View<T>&) {
+    part.OnFinal([st, snapshot, i](const View<T>& v) {
+      st->latest[i] = v;
       st->finals++;
       if (auto snap = snapshot()) {
-        if (st->finals == st->parts.size()) {
+        if (st->finals == st->latest.size()) {
           st->out.Close(std::move(snap->first), snap->second);
         } else {
           st->out.Update(std::move(snap->first), snap->second);

@@ -14,10 +14,8 @@
 #include "src/bindings/zookeeper_binding.h"
 #include "src/correctables/binding_router.h"
 #include "src/correctables/client.h"
-#include "src/harness/placement_advisor.h"
 #include "src/kvstore/cluster.h"
 #include "src/sim/event_loop.h"
-#include "src/sim/loop_group.h"
 #include "src/sim/network.h"
 #include "src/sim/topology.h"
 #include "src/stores/pb_store.h"
@@ -26,11 +24,8 @@
 namespace icg {
 
 // The simulated world: event loop + geographic topology + network. Construction order
-// matters (the network holds pointers into the other two), hence this bundle.
-//
-// For intra-world parallel sharding a world can grow extra "lanes" — additional
-// EventLoops it owns — onto which individual nodes are placed (via the network's
-// cross-loop mode), while loop() stays the front-end loop carrying clients and routers.
+// matters (the network holds pointers into the other two), hence this bundle. A world
+// is single-threaded; independent worlds may run on separate threads (RunWorldsUntil).
 class SimWorld {
  public:
   explicit SimWorld(uint64_t seed = 1, double jitter_sigma = 0.08)
@@ -40,20 +35,10 @@ class SimWorld {
   Topology& topology() { return topology_; }
   Network& network() { return network_; }
 
-  // Adds an owned lane loop (for LoopGroup placement). Setup-time only: the new lane
-  // starts at virtual time 0, so create lanes before the group advances.
-  EventLoop& AddLane() {
-    lanes_.push_back(std::make_unique<EventLoop>());
-    return *lanes_.back();
-  }
-  size_t lane_count() const { return lanes_.size(); }
-  EventLoop& lane(size_t i) { return *lanes_.at(i); }
-
  private:
   EventLoop loop_;
   Topology topology_;
   Network network_;
-  std::vector<std::unique_ptr<EventLoop>> lanes_;
 };
 
 // The paper's default Cassandra deployment: replicas in FRK/IRL/VRG (configurable),
@@ -160,8 +145,8 @@ class ShardedCassandraStack {
   size_t shard_queue_limit() const { return queue_limit_; }
   // Applies `window` to every endpoint's client (each keeps its own max_batch_ops),
   // re-arming pending cohorts through BatchScheduler::SetConfig — safe on a running
-  // stack; under a LoopGroup call between rounds (driver thread), like the membership
-  // changes. The orchestrator's batch-window actuator.
+  // stack, from a task on the world's loop or between RunUntil calls, like the
+  // membership changes. The orchestrator's batch-window actuator.
   void SetBatchWindow(SimDuration window);
   SimDuration batch_window() const { return client()->batch_config().batch_window; }
 
@@ -173,9 +158,6 @@ class ShardedCassandraStack {
   // changes, traffic to the dead shard piles onto its outstanding counter and — with a
   // queue limit set — sheds with retryable OVERLOADED; after it, pending cohorts
   // re-route at flush and new work maps to survivors.
-  //
-  // Threading: under a LoopGroup, call between rounds (driver thread) — the same
-  // contract as Network::Crash. Single-loop worlds may call from a front-loop task.
   void CrashCoordinator(NodeId replica_id);
   // Restart + recovery + rejoin: restarts the node, rebuilds the replica from snapshot
   // + WAL replay (kicking off its anti-entropy bootstrap), and re-admits it through the
@@ -228,63 +210,6 @@ class ShardedCassandraStack {
   std::vector<FailoverEvent> failover_log_;
   int64_t failovers_ = 0;
 };
-
-// Intra-world placement: which LoopGroup slot each piece of a sharded world landed on.
-struct IntraWorldPlacement {
-  int front_slot = -1;             // clients + routers (the world's own loop)
-  std::vector<int> replica_slots;  // parallel to stack.cluster->replicas()
-  std::vector<int> lane_slots;     // the distinct replica lanes (excludes front_slot)
-};
-
-// Splits ONE sharded deployment across the loops of `group`: EVERY cluster replica —
-// coordinators and join candidates alike — is pinned to its own fresh lane of `world`,
-// while every client endpoint and router stays on the world's front loop. Attaches the
-// front loop to the group if it is not already attached, binds the world's network to
-// the group, and rebinds each replica's timers/service queue to its lane.
-//
-// One lane per replica (not per coordinator) is what makes LIVE membership honor the
-// placement policy: lanes cannot be created after the group starts advancing, so a
-// spare promoted via AddCoordinator — or a crashed coordinator re-admitted through
-// RecoverCoordinator — must already own the lane it will coordinate on. Previously
-// spares shared coordinator lanes round-robin, so a promotion landed the new
-// coordinator on another coordinator's lane (and a recovered one lost its placement).
-//
-// Latency trade: messages between loops are delivered at the group's next round
-// barrier, so `group.Options::quantum` bounds the added cross-loop latency — a smaller
-// quantum tightens client<->coordinator and quorum round trips at the cost of more
-// barriers (synchronization overhead) per simulated second. Quanta well under the
-// topology's RTTs make the added latency negligible.
-//
-// Call right after building the stack and its endpoints, before any load runs.
-//
-// `max_lanes` constrains how many replica lanes are created. 0 (the default) keeps the
-// one-lane-per-replica policy above. A positive value creates min(max_lanes, replicas)
-// lanes and assigns replicas round-robin — deliberate co-tenancy for machines with
-// fewer cores than replicas, and the configuration under which stats-driven
-// rebalancing (RebalanceShardPlacement) is meaningful: with private lanes there is
-// nothing to rebalance.
-IntraWorldPlacement PlaceShardsAcrossLoops(LoopGroup& group, SimWorld& world,
-                                           ShardedCassandraStack& stack,
-                                           int max_lanes = 0);
-
-// One step of the stats-driven placement loop: samples per-lane load (events processed
-// + cross-loop messages delivered per slot) and per-replica load (service-queue
-// submissions), asks `advisor`, and applies the recommended migration live —
-// Network::MigrateNode re-routes new traffic, KvReplica::MigrateLoop moves the
-// replica's scheduling, and the old and new lanes are fused (LoopGroup::FuseLanes) for
-// `drain_window` of virtual time so messages still in flight toward the old lane
-// cannot race the replica's new-lane work. A replica holding armed timers
-// (CanMigrateLoop() false) is skipped this interval and reconsidered the next.
-//
-// Call between rounds (e.g. every N RunUntil chunks) on the driver thread. Every
-// decision derives from virtual-time counters, so rebalancing preserves bit-for-bit
-// width determinism — the intra-world oracle runs this loop at widths 0/2/4/8.
-// Returns the moves actually applied.
-std::vector<PlacementMove> RebalanceShardPlacement(LoopGroup& group, SimWorld& world,
-                                                   ShardedCassandraStack& stack,
-                                                   IntraWorldPlacement& placement,
-                                                   PlacementAdvisor& advisor,
-                                                   SimDuration drain_window = Millis(300));
 
 // Builds a cluster with one replica per `replica_regions` entry and routes traffic
 // across the first `n_coordinators` of them (clamped to [1, #replicas]); the remaining

@@ -1,8 +1,16 @@
 #include "src/harness/executors.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <exception>
 #include <memory>
+#include <thread>
 #include <utility>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 namespace icg {
 
@@ -167,11 +175,85 @@ OpExecutor MakeTwissandraExecutor(Twissandra* twissandra, bool use_icg) {
       twissandra->config().num_users);
 }
 
-int PinWorld(LoopGroup& group, SimWorld& world) { return group.Attach(&world.loop()); }
-
 namespace {
 
-void AddInto(ClientStats& into, const ClientStats& from) {
+// CPUs the calling thread may run on, other than the one it is on now: where the
+// helper threads should start.
+std::vector<int> SpareCpus() {
+  std::vector<int> cpus;
+#ifdef __linux__
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    const int current = sched_getcpu();
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &allowed) && cpu != current) {
+        cpus.push_back(cpu);
+      }
+    }
+  }
+#endif
+  return cpus;
+}
+
+// Moves the calling thread onto `cpu`, then hands back the full `allowed` mask so the
+// scheduler stays free to move it later. A new thread starts on its creator's CPU, and
+// some kernels leave all of a burst of new threads stacked there for hundreds of
+// milliseconds; on a 4-vCPU VM that alone serialised the worlds.
+void StartOn(int cpu) {
+#ifdef __linux__
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) {
+    return;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof(one), &one) == 0) {
+    sched_setaffinity(0, sizeof(allowed), &allowed);
+  }
+#else
+  (void)cpu;
+#endif
+}
+
+}  // namespace
+
+void RunWorldsUntil(const std::vector<SimWorld*>& worlds, SimTime until, int threads) {
+  std::atomic<size_t> next{0};
+  const auto drain = [&]() {
+    for (size_t i = next++; i < worlds.size(); i = next++) {
+      worlds[i]->loop().RunUntil(until);
+    }
+  };
+  const size_t width = std::min(worlds.size(), static_cast<size_t>(std::max(threads, 1)));
+  const std::vector<int> cpus = width > 1 ? SpareCpus() : std::vector<int>();
+  // A helper's exception is rethrown on the calling thread once every helper is joined.
+  std::vector<std::exception_ptr> failures(width);
+  {
+    std::vector<std::jthread> helpers;  // joined on scope exit, unwinding included
+    for (size_t t = 1; t < width; ++t) {
+      const int cpu = cpus.empty() ? -1 : cpus[(t - 1) % cpus.size()];
+      helpers.emplace_back([&drain, &failure = failures[t], cpu]() {
+        try {
+          if (cpu >= 0) {
+            StartOn(cpu);
+          }
+          drain();
+        } catch (...) {
+          failure = std::current_exception();
+        }
+      });
+    }
+    drain();
+  }
+  for (const std::exception_ptr& failure : failures) {
+    if (failure) {
+      std::rethrow_exception(failure);
+    }
+  }
+}
+
+void AddClientStats(ClientStats& into, const ClientStats& from) {
   into.invocations += from.invocations;
   into.weak_invocations += from.weak_invocations;
   into.strong_invocations += from.strong_invocations;
@@ -187,20 +269,6 @@ void AddInto(ClientStats& into, const ClientStats& from) {
   into.cross_tick_batches += from.cross_tick_batches;
   into.batched_writes += from.batched_writes;
   into.overload_sheds += from.overload_sheds;
-}
-
-}  // namespace
-
-void ClientStatsGroup::Absorb(size_t i, const ClientStats& stats) {
-  AddInto(slots_.at(i).stats, stats);
-}
-
-ClientStats ClientStatsGroup::Merged() const {
-  ClientStats merged;
-  for (const Slot& slot : slots_) {
-    AddInto(merged, slot.stats);
-  }
-  return merged;
 }
 
 }  // namespace icg

@@ -11,7 +11,6 @@
 #include "src/correctables/client.h"
 #include "src/harness/deployment.h"
 #include "src/kvstore/cluster.h"
-#include "src/sim/loop_group.h"
 #include "src/ycsb/runner.h"
 
 namespace icg {
@@ -42,37 +41,18 @@ int64_t KeyIndexOf(const std::string& ycsb_key);
 // Installs `record_count` records of the workload's value size on every replica.
 void PreloadYcsbDataset(KvCluster* cluster, const WorkloadConfig& config);
 
-// --- Parallel execution helpers -------------------------------------------------------
+// --- Parallel execution -------------------------------------------------------------
 
-// Pins a SimWorld to a LoopGroup slot: everything scheduled on the world's loop (its
-// network, stores, clients, runners) runs on that slot's driving thread each round.
-// Returns the affinity index — also the natural ClientStatsGroup slot for the world.
-int PinWorld(LoopGroup& group, SimWorld& world);
+// Runs every world's EventLoop to virtual time `until`. The worlds must be independent
+// (no world touches another's objects), so each runs to the horizon with no
+// synchronisation at all. With `threads <= 1` they run in order on the calling thread;
+// otherwise up to `threads` threads (the caller included) claim worlds from a shared
+// index. Every world's history is a pure function of its own seed, so the thread count
+// changes wall time only.
+void RunWorldsUntil(const std::vector<SimWorld*>& worlds, SimTime until, int threads);
 
-// Per-loop ClientStats accumulators, one cache line apart so concurrently-driven loops
-// never false-share while counting; reads fold the slots field-wise on demand.
-class ClientStatsGroup {
- public:
-  explicit ClientStatsGroup(size_t n_loops) : slots_(n_loops) {}
-
-  size_t size() const { return slots_.size(); }
-  // The accumulator a loop's executors may mutate freely from that loop's thread.
-  ClientStats& ForLoop(size_t i) { return slots_.at(i).stats; }
-  const ClientStats& ForLoop(size_t i) const { return slots_.at(i).stats; }
-
-  // Adds a client's counters into loop `i`'s accumulator (e.g. a per-world
-  // CorrectableClient's stats() at trial end).
-  void Absorb(size_t i, const ClientStats& stats);
-
-  // Field-wise sum over every slot: the system-wide view.
-  ClientStats Merged() const;
-
- private:
-  struct alignas(64) Slot {
-    ClientStats stats;
-  };
-  std::vector<Slot> slots_;
-};
+// Field-wise sum of client counters, for folding several clients or worlds together.
+void AddClientStats(ClientStats& into, const ClientStats& from);
 
 }  // namespace icg
 

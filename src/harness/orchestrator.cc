@@ -15,7 +15,6 @@ const char* ControlActionName(ControlActionKind kind) {
     case ControlActionKind::kShrinkWindow: return "shrink";
     case ControlActionKind::kScaleOut: return "scale-out";
     case ControlActionKind::kScaleIn: return "scale-in";
-    case ControlActionKind::kRebalance: return "rebalance";
   }
   return "?";
 }
@@ -24,11 +23,6 @@ ControlAction OrchestratorPolicy::Emit(ControlActionKind kind, size_t detail) {
   ++actions_;
   cooldown_ = options_.cooldown_intervals;
   return ControlAction{kind, detail};
-}
-
-void OrchestratorPolicy::NoteExternalAction() {
-  ++actions_;
-  cooldown_ = options_.cooldown_intervals;
 }
 
 ControlAction OrchestratorPolicy::Decide(const ControlSample& sample) {
@@ -99,10 +93,10 @@ ControlAction OrchestratorPolicy::Decide(const ControlSample& sample) {
   return {};
 }
 
-Orchestrator::Orchestrator(LoopGroup* group, SimWorld* world, ShardedCassandraStack* stack,
+Orchestrator::Orchestrator(SimWorld* world, ShardedCassandraStack* stack,
                            OrchestratorOptions options)
-    : group_(group), world_(world), stack_(stack), options_(options), policy_(options) {
-  assert(group_ != nullptr && world_ != nullptr && stack_ != nullptr);
+    : world_(world), stack_(stack), options_(options), policy_(options) {
+  assert(world_ != nullptr && stack_ != nullptr);
   assert(!options_.window_ladder.empty());
   // Join the ladder at the stack's current window (rung 0 if it is off-ladder).
   const SimDuration current = stack_->batch_window();
@@ -114,13 +108,6 @@ Orchestrator::Orchestrator(LoopGroup* group, SimWorld* world, ShardedCassandraSt
   }
 }
 
-void Orchestrator::EnablePlacement(IntraWorldPlacement* placement,
-                                   PlacementAdvisorOptions advisor_options) {
-  assert(placement != nullptr);
-  placement_ = placement;
-  advisor_ = std::make_unique<PlacementAdvisor>(advisor_options);
-}
-
 void Orchestrator::Start() {
   if (running_) {
     return;
@@ -128,18 +115,23 @@ void Orchestrator::Start() {
   running_ = true;
   // Baseline the shed aggregate so the first tick's delta covers exactly one interval.
   last_total_sheds_ = TotalSheds();
-  const uint64_t generation = ++generation_;
-  group_->ScheduleDriverTask(group_->Now() + options_.control_interval,
-                             [this, generation]() {
-                               if (running_ && generation == generation_) {
-                                 Tick();
-                               }
-                             });
+  ScheduleTick();
 }
 
 void Orchestrator::Stop() {
   running_ = false;
-  ++generation_;  // a pending tick sees the bump and dies quietly
+  if (tick_timer_ != 0) {
+    world_->loop().Cancel(tick_timer_);
+    tick_timer_ = 0;
+  }
+}
+
+void Orchestrator::ScheduleTick() {
+  tick_timer_ = world_->loop().Schedule(options_.control_interval, [this]() {
+    tick_timer_ = 0;
+    Tick();
+    ScheduleTick();
+  });
 }
 
 int64_t Orchestrator::TotalSheds() const {
@@ -191,7 +183,7 @@ ControlSample Orchestrator::Sample() {
 void Orchestrator::Record(ControlActionKind kind, size_t detail,
                           const ControlSample& sample) {
   OrchestratorEvent event;
-  event.at = group_->Now();
+  event.at = world_->loop().Now();
   event.kind = kind;
   event.detail = detail;
   event.ring_epoch = stack_->ring_epoch();
@@ -215,8 +207,7 @@ void Orchestrator::Apply(const ControlAction& action, const ControlSample& sampl
       Record(action.kind, action.detail, sample);
       break;
     case ControlActionKind::kScaleOut: {
-      // First spare in cluster order: deterministic, and under PlaceShardsAcrossLoops
-      // every replica already owns the lane it will coordinate on.
+      // First spare in cluster order: deterministic.
       NodeId promoted = kInvalidNode;
       for (const auto& replica : stack_->cluster->replicas()) {
         const auto& ring = stack_->coordinator_ids();
@@ -242,19 +233,6 @@ void Orchestrator::Apply(const ControlAction& action, const ControlSample& sampl
       Record(action.kind, static_cast<size_t>(retired), sample);
       break;
     }
-    case ControlActionKind::kRebalance:
-      break;  // never produced by the policy; recorded by the placement leg below
-  }
-
-  // The placement leg rides intervals the policy left idle, so the one-action-per-
-  // interval budget holds across both decision paths.
-  if (action.kind == ControlActionKind::kNone && placement_ != nullptr) {
-    const std::vector<PlacementMove> moves =
-        RebalanceShardPlacement(*group_, *world_, *stack_, *placement_, *advisor_);
-    if (!moves.empty()) {
-      policy_.NoteExternalAction();
-      Record(ControlActionKind::kRebalance, static_cast<size_t>(moves[0].entity), sample);
-    }
   }
 }
 
@@ -263,13 +241,6 @@ void Orchestrator::Tick() {
   const ControlSample sample = Sample();
   const ControlAction action = policy_.Decide(sample);
   Apply(action, sample);
-  const uint64_t generation = generation_;
-  group_->ScheduleDriverTask(group_->Now() + options_.control_interval,
-                             [this, generation]() {
-                               if (running_ && generation == generation_) {
-                                 Tick();
-                               }
-                             });
 }
 
 std::string Orchestrator::EventLogFingerprint() const {

@@ -8,23 +8,19 @@
 //     aggregate shed deltas         hysteresis + streaks     AddCoordinator /
 //   PrimaryLoadEstimate             + cooldown; at most        RemoveCoordinator
 //     per-shard keyspace share      ONE action / interval      (versioned ApplyRing)
-//   LoopGroup lane counters       PlacementAdvisor           RebalanceShardPlacement
-//     events + deliveries/slot      (hot-lane detection)       (live lane migration)
 //
-// Split exactly like the placement stack: OrchestratorPolicy is the pure decision
-// function — it consumes one ControlSample per interval and returns at most one
-// ControlAction, with every aggregate computed order-invariantly and every tie broken
-// deterministically, so the metamorphic suite can probe it directly. Orchestrator is
-// the harness glue: it samples the running deployment, applies the decision, and
-// reschedules itself through LoopGroup::ScheduleDriverTask, so every actuation runs on
-// the driver thread between rounds — the same contract as manual membership changes.
+// OrchestratorPolicy is the pure decision function: it consumes one ControlSample per
+// interval and returns at most one ControlAction, with every aggregate computed
+// order-invariantly and every tie broken deterministically, so the metamorphic suite
+// can probe it directly. Orchestrator is the harness glue: it samples the running
+// deployment, applies the decision, and reschedules itself as a timer on the world's
+// loop, so every actuation runs between two simulated events, like any other task.
 //
 // Determinism argument: every input is a virtual-time counter (router snapshots,
-// PrimaryLoadEstimate under a fixed seed, per-lane event/delivery counts) — never a
-// wall-clock metric like barrier_wait_ns — and ticks fire on the barrier schedule,
-// which is itself a pure function of virtual-time state. So the controller's action
-// log is bit-identical across LoopGroup widths 0/2/4/8; the orchestrator oracle
-// enforces this with EventLogFingerprint().
+// PrimaryLoadEstimate under a fixed seed) — never a wall-clock metric — and ticks are
+// timers on the world's own loop. So the controller's action log is a pure function of
+// the seed; the orchestrator oracle checks that two same-seed runs log the same actions
+// with EventLogFingerprint().
 //
 // The batch-window ladder defaults to {0, 1ms, 5ms, 20ms} — the BENCH_batch_window
 // operating points, where msgs/op falls 6.31 -> 4.88 -> 3.19 -> 1.53 for a p50 cost of
@@ -35,15 +31,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/types.h"
 #include "src/harness/deployment.h"
-#include "src/harness/placement_advisor.h"
-#include "src/sim/loop_group.h"
 
 namespace icg {
 
@@ -53,7 +46,6 @@ enum class ControlActionKind {
   kShrinkWindow,  // descend one rung
   kScaleOut,      // promote a spare replica into the coordinator ring
   kScaleIn,       // retire the coldest coordinator from the ring
-  kRebalance,     // PlacementAdvisor-driven lane migration was applied
 };
 
 const char* ControlActionName(ControlActionKind kind);
@@ -66,7 +58,7 @@ struct ControlAction {
 };
 
 // One shard's signals within a sample. `primary_share` is that coordinator's share of
-// the keyspace per Partitioner::PrimaryLoadEstimate (seeded, so width-identical).
+// the keyspace per Partitioner::PrimaryLoadEstimate (seeded, so run-to-run identical).
 struct ShardSignal {
   size_t shard = 0;
   size_t outstanding = 0;
@@ -107,12 +99,12 @@ struct OrchestratorOptions {
   int cool_intervals_to_scale_in = 6;
   double cool_outstanding_per_shard = 1.0;
   // Decide() calls to sit out after emitting an action, letting its effect reach the
-  // counters before the next judgement (mirrors PlacementAdvisorOptions).
+  // counters before the next judgement.
   int cooldown_intervals = 2;
   size_t min_coordinators = 1;
   size_t max_coordinators = 64;
   // PrimaryLoadEstimate sampling (harness-side): fixed count + seed keep the estimate
-  // a pure function of the ring, identical at every width.
+  // a pure function of the ring.
   int load_estimate_samples = 128;
   uint64_t load_estimate_seed = 42;
 };
@@ -133,10 +125,6 @@ class OrchestratorPolicy {
   // the shed streak and reset the cool streak, so it never triggers scale-in.
   ControlAction Decide(const ControlSample& sample);
 
-  // An action was applied outside Decide() (the placement leg): start the shared
-  // cooldown so at most one actuation lands per interval overall.
-  void NoteExternalAction();
-
   const OrchestratorOptions& options() const { return options_; }
   int64_t intervals_observed() const { return intervals_; }
   int64_t actions_emitted() const { return actions_; }
@@ -152,7 +140,7 @@ class OrchestratorPolicy {
   int cool_streak_ = 0;  // consecutive intervals cool enough to justify scale-in
 };
 
-// One applied control decision, for logs, tests, and the width-sweep fingerprint.
+// One applied control decision, for logs, tests, and the determinism fingerprint.
 struct OrchestratorEvent {
   SimTime at = 0;
   ControlActionKind kind = ControlActionKind::kNone;
@@ -163,24 +151,18 @@ struct OrchestratorEvent {
 };
 
 // Harness glue: samples the deployment, lets the policy decide, actuates, repeats.
-// Construct after placing the stack, then Start(); call Stop() before draining the
-// world with RunAll (the tick is self-rescheduling, like the failure detector's probe
-// timer). The orchestrator must outlive the group's last round.
+// Construct after building the stack, then Start(); call Stop() before draining the
+// world with Run (the tick is self-rescheduling, like the failure detector's probe
+// timer). The orchestrator must outlive the world's last event.
 class Orchestrator {
  public:
-  Orchestrator(LoopGroup* group, SimWorld* world, ShardedCassandraStack* stack,
+  Orchestrator(SimWorld* world, ShardedCassandraStack* stack,
                OrchestratorOptions options = {});
 
-  // Wires the placement leg: on intervals where no knob action fires, consult the
-  // advisor and live-migrate a hot co-tenant (RebalanceShardPlacement). `placement`
-  // must outlive the orchestrator. Only meaningful with lane co-tenancy (max_lanes).
-  void EnablePlacement(IntraWorldPlacement* placement,
-                       PlacementAdvisorOptions advisor_options = {});
-
   // Baselines the shed counters and schedules the first tick one control interval
-  // from now. Driver thread, between rounds.
+  // from now.
   void Start();
-  // Stops the loop: the already-scheduled tick (if any) becomes a no-op.
+  // Stops the loop: cancels the pending tick, so the world can drain to quiescence.
   void Stop();
   bool running() const { return running_; }
 
@@ -191,27 +173,24 @@ class Orchestrator {
   int64_t ticks() const { return ticks_; }
 
   // Compact encoding of the applied-action log (time/kind/detail/epoch per event) —
-  // what the width-sweep oracle compares bit-for-bit.
+  // what the determinism oracle compares bit-for-bit.
   std::string EventLogFingerprint() const;
 
  private:
+  void ScheduleTick();
   void Tick();
   ControlSample Sample();
   void Apply(const ControlAction& action, const ControlSample& sample);
   int64_t TotalSheds() const;
   void Record(ControlActionKind kind, size_t detail, const ControlSample& sample);
 
-  LoopGroup* group_;
   SimWorld* world_;
   ShardedCassandraStack* stack_;
   OrchestratorOptions options_;
   OrchestratorPolicy policy_;
 
-  IntraWorldPlacement* placement_ = nullptr;
-  std::unique_ptr<PlacementAdvisor> advisor_;
-
   bool running_ = false;
-  uint64_t generation_ = 0;  // Stop() bumps it; a stale tick sees the mismatch and dies
+  TimerId tick_timer_ = 0;
   size_t window_index_ = 0;
   int64_t last_total_sheds_ = 0;
   int64_t ticks_ = 0;

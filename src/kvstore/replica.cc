@@ -24,19 +24,6 @@ KvReplica::KvReplica(Network* network, NodeId id, const KvConfig* config, const 
   }
 }
 
-void KvReplica::RebindLoop() {
-  assert(pending_reads_.empty() && pending_multi_reads_.empty() &&
-         service_.InFlight() == 0 && "rebind requires a quiescent replica");
-  loop_ = network_->LoopFor(id_);
-  service_.RebindLoop(loop_);
-}
-
-void KvReplica::MigrateLoop() {
-  assert(CanMigrateLoop() && "live migration needs a timer-free replica");
-  loop_ = network_->LoopFor(id_);
-  service_.MigrateLoop(loop_);
-}
-
 void KvReplica::SetPeers(std::vector<KvReplica*> peers) {
   peers_ = std::move(peers);
   // Keep peers ordered nearest-first from this node, so quorum requests go to the
@@ -867,8 +854,7 @@ void KvReplica::Recover() {
     });
   }
   // Anti-entropy bootstrap: writes coordinated elsewhere while this replica was down
-  // never reached it (their replication messages were dropped at send). Runs on this
-  // replica's own loop so all recovery traffic originates from its lane.
+  // never reached it (their replication messages were dropped at send).
   if (!peers_.empty()) {
     bootstrap_pending_ = true;
     bootstrap_round_ = 0;

@@ -103,31 +103,6 @@ class KvReplica {
   ServiceQueue& service_queue() { return service_; }
   MetricRegistry& metrics() { return metrics_; }
 
-  // Re-resolves this replica's loop through Network::LoopFor after the node has been
-  // placed on a LoopGroup lane (intra-world sharding): its timers and service queue move
-  // to the placed loop so all of its activity runs on that lane's driving thread.
-  // Legal whenever the replica is quiescent — before any traffic, after a drain, or on
-  // a crashed replica (Crash() cancels everything in flight).
-  void RebindLoop();
-
-  // True when the replica can move lanes *live* (MigrateLoop below): nothing may hold
-  // an armed timer, because TimerIds are loop-local generation-checked handles —
-  // cancelling an old-loop id against the new loop could cancel an innocent timer.
-  // Reads and multi-reads arm timeout timers; bootstrap re-arms itself; writes and
-  // queued service work hold none, so service work in flight is fine (the caller
-  // covers it with a fused-lane window).
-  bool CanMigrateLoop() const {
-    return !crashed_ && pending_reads_.empty() && pending_multi_reads_.empty() &&
-           bootstrap_timer_ == 0;
-  }
-
-  // Live-placement variant of RebindLoop for stats-driven rebalancing: re-resolves the
-  // loop through Network::LoopFor (the network placement must already point at the new
-  // lane) while service work may still be in flight. The caller must fuse the old and
-  // new lanes for a drain window (LoopGroup::FuseLanes) so in-flight completions and
-  // new-lane work never run concurrently.
-  void MigrateLoop();
-
   // --- Crash & recovery ----------------------------------------------------------------
   // kill -9: wipes all volatile state (storage, pending reads, queued service work) and
   // truncates the WAL's unsynced tail, exactly as a process death would. The WAL and

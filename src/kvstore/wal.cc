@@ -73,8 +73,8 @@ SimDuration Wal::Sync() {
 void Wal::Crash() {
   if (faults_.torn_tail && unsynced_bytes() > 0) {
     // The first unsynced record tears: a partial prefix made it to the medium. The cut
-    // point is a pure function of the record's bytes (no RNG) so crash trials stay
-    // bit-identical across LoopGroup widths. Cut inside the payload whenever the record
+    // point is a pure function of the record's bytes (no RNG) so same-seed crash
+    // trials stay bit-identical. Cut inside the payload whenever the record
     // is long enough for the length header to have landed, so replay sees a plausible
     // header whose payload (or checksum) is missing or corrupt.
     const size_t tail = static_cast<size_t>(unsynced_bytes());

@@ -22,8 +22,8 @@
 //
 // Determinism: the device is plain memory, Sync's latency is a fixed configured
 // duration charged on the caller's service queue, and the torn-tail cut point is a pure
-// function of the torn record's bytes — no entropy, so crash trials fingerprint
-// identically at every LoopGroup width.
+// function of the torn record's bytes — no entropy, so a crash trial's fingerprint is a
+// pure function of its seed.
 #ifndef ICG_KVSTORE_WAL_H_
 #define ICG_KVSTORE_WAL_H_
 

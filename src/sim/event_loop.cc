@@ -66,13 +66,6 @@ void EventLoop::RunUntil(SimTime until) {
   now_ = until;
 }
 
-std::optional<SimTime> EventLoop::NextEventTime() {
-  if (!PrepareNext()) {
-    return std::nullopt;
-  }
-  return nodes_[due_.front()].when;
-}
-
 uint32_t EventLoop::AllocNode(SimTime when, Task task) {
   uint32_t index;
   if (free_head_ != kNil) {

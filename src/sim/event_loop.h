@@ -65,9 +65,6 @@ class EventLoop {
   // Convenience: RunUntil(Now() + d).
   void RunFor(SimDuration d) { RunUntil(now_ + d); }
 
-  // Timestamp of the earliest pending event, if any (used by LoopGroup pacing).
-  std::optional<SimTime> NextEventTime();
-
   int64_t events_processed() const { return events_processed_; }
   size_t pending_events() const { return live_events_; }
 

@@ -8,7 +8,6 @@
 #ifndef ICG_SIM_SERVICE_QUEUE_H_
 #define ICG_SIM_SERVICE_QUEUE_H_
 
-#include <cassert>
 #include <cstdint>
 #include <string>
 
@@ -24,28 +23,6 @@ class ServiceQueue {
   // Enqueues work consuming `service_time` of server time; runs `done` at completion.
   // Non-preemptive FIFO: completion = max(now, previous completion) + service_time.
   void Submit(SimDuration service_time, EventLoop::Task done);
-
-  // Moves this server onto another loop — used when its node is placed on a LoopGroup
-  // lane after construction, or when a crashed replica rejoins. Legal whenever the
-  // queue is quiescent: nothing in flight (either never used, drained, or cancelled via
-  // CancelPending).
-  void RebindLoop(EventLoop* loop) {
-    assert(loop != nullptr);
-    assert(InFlight() == 0 && "rebind requires a quiescent queue");
-    loop_ = loop;
-  }
-
-  // Live-migration variant of RebindLoop: moves the server onto another loop *with
-  // work possibly in flight*. Completions already scheduled keep running on the old
-  // loop (their closures only touch this object); new submissions land on the new
-  // loop. Safe only while the old and new lanes are fused into one claim unit (see
-  // LoopGroup::FuseLanes) or between rounds — otherwise two threads could run this
-  // server's completions concurrently. Submit computes start times from the *target*
-  // loop's clock, so a completion is never scheduled into the new loop's past.
-  void MigrateLoop(EventLoop* loop) {
-    assert(loop != nullptr);
-    loop_ = loop;
-  }
 
   // Abandons every in-flight job (kill -9 of the server): their completion callbacks
   // never run and never count, and the server is immediately idle for new work. The

@@ -91,15 +91,18 @@ void ZabClient::RecipeDequeueZk(const std::string& queue,
   // The Curator-style distributed-queue recipe: fetch the whole children listing, then
   // walk it in order, attempting getData+delete per child; a delete conflict (another
   // client won the race) moves on to the *next child of the cached listing* — only an
-  // exhausted listing triggers a fresh getChildren. State is self-owning shared_ptrs so
-  // the async chain survives as many retries as contention requires.
+  // exhausted listing triggers a fresh getChildren. Each in-flight callback holds the
+  // step function, so the async chain survives as many retries as contention requires
+  // and is freed when the last callback is; the step holds itself only weakly.
   struct WalkState {
     std::vector<int64_t> children;
     size_t next_index = 0;
   };
   auto state = std::make_shared<WalkState>();
   auto step = std::make_shared<std::function<void()>>();
-  *step = [this, queue, done = std::move(done), state, step]() {
+  *step = [this, queue, done = std::move(done), state,
+           weak_step = std::weak_ptr<std::function<void()>>(step)]() {
+    const auto step = weak_step.lock();
     if (state->next_index >= state->children.size()) {
       // Listing exhausted (or first iteration): fetch the full queue listing.
       GetChildren(queue, [this, queue, done, state, step](std::vector<int64_t> children) {
@@ -147,8 +150,12 @@ void ZabClient::RecipeDequeueZk(const std::string& queue,
 
 void ZabClient::RecipeDequeueCzk(const std::string& queue,
                                  std::function<void(StatusOr<OpResult>)> done) {
+  // Same ownership as RecipeDequeueZk: in-flight callbacks hold the attempt function,
+  // which holds itself only weakly.
   auto attempt = std::make_shared<std::function<void()>>();
-  *attempt = [this, queue, done = std::move(done), attempt]() {
+  *attempt = [this, queue, done = std::move(done),
+              weak_attempt = std::weak_ptr<std::function<void()>>(attempt)]() {
+    const auto attempt = weak_attempt.lock();
     Peek(queue, [this, queue, done, attempt](StatusOr<OpResult> head, bool, ResponseKind) {
       if (!head.ok() || !head->found) {
         done(OpResult{});

@@ -80,9 +80,11 @@ TEST_F(TicketsTest, ExactlyStockTicketsSoldUnderContention) {
   int64_t duplicates = 0;
   std::vector<std::shared_ptr<std::function<void()>>> loops;
   for (auto& seller : sellers) {
+    // `loops` owns each purchase loop for the whole test; the closures refer to it by
+    // raw pointer so no loop owns itself.
     auto next = std::make_shared<std::function<void()>>();
     TicketSeller* s = seller.get();
-    *next = [s, next, &sold, &duplicates]() {
+    *next = [s, next = next.get(), &sold, &duplicates]() {
       s->PurchaseTicket([next, &sold, &duplicates](PurchaseOutcome o) {
         if (o.purchased) {
           if (!sold.insert(o.ticket_seq).second) {
@@ -111,16 +113,15 @@ TEST_F(TicketsTest, ThresholdBoundaryRespected) {
   stack_->cluster->PreloadQueue("show", 30, "t");
   TicketSeller seller(stack_->client.get(), Config(30, 25));
   std::vector<bool> fast;
-  auto next = std::make_shared<std::function<void()>>();
-  *next = [&, next]() {
-    seller.PurchaseTicket([&, next](PurchaseOutcome o) {
+  std::function<void()> next = [&]() {
+    seller.PurchaseTicket([&](PurchaseOutcome o) {
       if (o.purchased) {
         fast.push_back(o.via_preliminary);
-        (*next)();
+        next();
       }
     });
   };
-  (*next)();
+  next();
   world_.loop().Run();
   ASSERT_EQ(fast.size(), 30u);
   // Tickets 0..3 leave >25 remaining; from ticket 4 on, the seller waits for finals.

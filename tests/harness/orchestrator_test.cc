@@ -186,19 +186,16 @@ TEST(OrchestratorPolicy, ScaleInRespectsMinCoordinators) {
   }
 }
 
-TEST(OrchestratorPolicy, LadderTopAndExternalActionsShareTheCooldown) {
+TEST(OrchestratorPolicy, LadderTopLeavesSaturationWithNothingToDo) {
   OrchestratorPolicy policy(FastOptions());
-  // Topped-out ladder: saturation without sheds has no action left to take.
+  // Topped-out ladder: saturation without sheds has no action left to take, interval
+  // after interval.
   const auto saturated = Sample({{100, 0.5}, {100, 0.5}}, 0, 2, /*window_index=*/3);
-  EXPECT_EQ(policy.Decide(saturated).kind, ControlActionKind::kNone);
-  // An external action (placement move) starts the shared cooldown: the next interval
-  // may not emit even though its own conditions hold.
-  policy.NoteExternalAction();
-  EXPECT_EQ(policy.Decide(Sample({{20, 0.5}, {20, 0.5}}, 0)).kind,
-            ControlActionKind::kNone);
-  EXPECT_EQ(policy.Decide(Sample({{20, 0.5}, {20, 0.5}}, 0)).kind,
-            ControlActionKind::kNone);
-  EXPECT_EQ(policy.Decide(Sample({{20, 0.5}, {20, 0.5}}, 0)).kind,
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(policy.Decide(saturated).kind, ControlActionKind::kNone) << "interval " << i;
+  }
+  // One rung lower the same load widens.
+  EXPECT_EQ(policy.Decide(Sample({{100, 0.5}, {100, 0.5}}, 0, 2, /*window_index=*/2)).kind,
             ControlActionKind::kWidenWindow);
 }
 

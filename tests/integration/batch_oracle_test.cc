@@ -386,9 +386,9 @@ TEST(BatchOracle, MembershipChurnAcrossWindows) {
 //   * ring epochs advance by at least two (failover + re-admission) and the failover
 //     log records detection and rejoin.
 //
-// The trial runs at LoopGroup widths 0/2/4 (8 under ICG_ORACLE_WIDTH8) and must produce
-// a bit-identical fingerprint at every width: crash, detection, recovery, and replay all
-// ride the deterministic substrate. ICG_WAL_FAULTS=1 additionally enables slow-fsync +
+// Two runs with the same seed must produce a bit-identical fingerprint — crash,
+// detection, recovery, and replay are all pure functions of the seed — and the next
+// seed must produce a different one. ICG_WAL_FAULTS=1 additionally enables slow-fsync +
 // torn-tail fault injection (the CI fault sweep).
 
 bool WalFaultsEnabled() {
@@ -416,13 +416,9 @@ void CheckCrashObservation(const Observation& obs) {
   }
 }
 
-std::string RunCrashOracleTrial(int threads, SimDuration window, uint64_t seed) {
-  SCOPED_TRACE("crash threads=" + std::to_string(threads) +
-               " window_us=" + std::to_string(window) + " seed=" + std::to_string(seed));
-  LoopGroup::Options options;
-  options.threads = threads;
-  options.quantum = Millis(2);
-  LoopGroup group(options);
+std::string RunCrashOracleTrial(SimDuration window, uint64_t seed) {
+  SCOPED_TRACE("crash window_us=" + std::to_string(window) +
+               " seed=" + std::to_string(seed));
 
   CassandraBindingConfig binding;
   binding.strong_read_quorum = 2;
@@ -457,7 +453,6 @@ std::string RunCrashOracleTrial(int threads, SimDuration window, uint64_t seed) 
   for (int i = 0; i < kKeys; ++i) {
     stack.cluster->Preload(OracleKey(i), "init");
   }
-  PlaceShardsAcrossLoops(group, world, stack);
   stack.EnableFailureDetection();  // 50 ms heartbeat, 3 missed probes => failover
 
   Rng rng(seed * 173 + static_cast<uint64_t>(window));
@@ -468,16 +463,16 @@ std::string RunCrashOracleTrial(int threads, SimDuration window, uint64_t seed) 
       stack.coordinator_ids()[static_cast<size_t>(seed % stack.coordinator_ids().size())];
 
   // kill -9 at 1 s (mid-load, mid-window, mid-whatever-cohort the seed lined up),
-  // recover at 2 s. Both mutations happen between rounds — the LoopGroup equivalent of
-  // an external fault injector.
-  group.RunUntil(Seconds(1));
+  // recover at 2 s. Both mutations happen between RunUntil calls, like an external
+  // fault injector.
+  EventLoop& loop = world.loop();
+  loop.RunUntil(Seconds(1));
   stack.CrashCoordinator(victim);
-  group.RunUntil(Seconds(2));
+  loop.RunUntil(Seconds(2));
   stack.RecoverCoordinator(victim);
-  group.RunUntil(Seconds(6));  // load + timeouts + bootstrap drain
+  loop.RunUntil(Seconds(6));  // load + timeouts + bootstrap drain
   stack.DisableFailureDetection();
-  group.RunAll();
-  EXPECT_EQ(group.pending_messages(), 0u);
+  loop.Run();
 
   // Failover actually happened and was logged: detected after the crash, rejoined at
   // recovery, ring advanced by at least two epochs (route-around + re-admission).
@@ -566,7 +561,7 @@ std::string RunCrashOracleTrial(int threads, SimDuration window, uint64_t seed) 
     }
   }
 
-  // The cross-width fingerprint: every delivered level, terminal kind, final value and
+  // The determinism fingerprint: every delivered level, terminal kind, final value and
   // version, in creation order.
   std::string fingerprint;
   for (const auto& obs : load.observations) {
@@ -584,17 +579,13 @@ std::string RunCrashOracleTrial(int threads, SimDuration window, uint64_t seed) 
   return fingerprint;
 }
 
-TEST(BatchOracle, CrashFailoverRecoveryAcrossWidths) {
+TEST(BatchOracle, CrashFailoverRecovery) {
   const uint64_t seed = OracleSeed();
   for (const SimDuration window : {Millis(0), Millis(5)}) {
-    const std::string sequential = RunCrashOracleTrial(/*threads=*/0, window, seed);
-    EXPECT_FALSE(sequential.empty());
-    EXPECT_EQ(RunCrashOracleTrial(/*threads=*/2, window, seed), sequential);
-    EXPECT_EQ(RunCrashOracleTrial(/*threads=*/4, window, seed), sequential);
-    const char* width8 = std::getenv("ICG_ORACLE_WIDTH8");
-    if (width8 != nullptr && *width8 == '1') {
-      EXPECT_EQ(RunCrashOracleTrial(/*threads=*/8, window, seed), sequential);
-    }
+    const std::string first = RunCrashOracleTrial(window, seed);
+    EXPECT_FALSE(first.empty());
+    EXPECT_EQ(RunCrashOracleTrial(window, seed), first);
+    EXPECT_NE(RunCrashOracleTrial(window, seed + 1), first);
   }
 }
 

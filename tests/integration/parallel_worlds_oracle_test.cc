@@ -1,11 +1,10 @@
 // Randomized consistency oracle over parallel worlds: W independent sharded-Cassandra
-// SimWorlds pinned to one LoopGroup, driven at thread widths 0 (deterministic
-// sequential), 2, and 4. Each world carries the same 3-client random read/write load the
-// batch oracle uses, plus cross-world relay reads posted through the group's channel so
-// the striped MPSC path sees real mid-round traffic. Every width must (a) leave every
-// observation oracle-clean — weakest-first monotone delivery, exactly one terminal,
-// per-key program order into replica state — and (b) produce a bit-for-bit identical
-// outcome fingerprint, validating the threaded modes against the sequential one.
+// SimWorlds run to a common horizon by RunWorldsUntil at thread counts 0 (in order on
+// the calling thread), 2, and 4. Each world carries the same 3-client random read/write
+// load the batch oracle uses. Every thread count must (a) leave every observation
+// oracle-clean — weakest-first monotone delivery, exactly one terminal, per-key program
+// order into replica state — and (b) produce a bit-for-bit identical outcome
+// fingerprint: worlds share nothing, so threads may change wall time only.
 //
 // The RNG seed comes from ICG_ORACLE_SEED (default 12345); CI sweeps several seeds.
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include "src/common/random.h"
 #include "src/harness/deployment.h"
 #include "src/harness/executors.h"
-#include "src/sim/loop_group.h"
 
 namespace icg {
 namespace {
@@ -38,7 +36,6 @@ constexpr int kWorlds = 3;
 constexpr int kKeys = 39;
 constexpr int kClients = 3;
 constexpr int kOps = 220;
-constexpr int kRelays = 40;
 
 std::string OracleKey(int index) { return "okey" + std::to_string(index); }
 
@@ -53,7 +50,7 @@ struct Observation {
   int errors = 0;
   bool view_after_terminal = false;
   OpResult final_value;
-  SimTime final_at = -1;  // virtual delivery time: part of the cross-width fingerprint
+  SimTime final_at = -1;  // virtual delivery time: part of the fingerprint
 };
 
 void Observe(Correctable<OpResult> c, const std::shared_ptr<Observation>& obs,
@@ -96,7 +93,7 @@ void CheckObservation(const Observation& obs, const std::string& context) {
 }
 
 // One world's stack, clients, and bookkeeping. Worlds are independent: distinct seeds,
-// distinct key spaces (shared key names, separate clusters), one LoopGroup slot each.
+// distinct key spaces (shared key names, separate clusters).
 struct WorldUnderTest {
   explicit WorldUnderTest(uint64_t seed) : world(seed) {}
 
@@ -109,7 +106,7 @@ struct WorldUnderTest {
 };
 
 // Everything observable about one world's run, serialized in creation order. Equal
-// strings across thread widths == bit-for-bit identical outcomes.
+// strings across thread counts == bit-for-bit identical outcomes.
 std::string Fingerprint(const WorldUnderTest& wut) {
   std::ostringstream out;
   for (const auto& obs : wut.observations) {
@@ -172,45 +169,10 @@ void ScheduleWorldLoad(WorldUnderTest& wut, Rng& rng) {
   }
 }
 
-// Cross-world relays: world `from` schedules a local event that Posts through the
-// group's channel to world `to`, where the task issues an ICG read on `to`'s own
-// client. The read runs entirely inside `to` (loop affinity holds); only the *trigger*
-// crosses loops, exercising the sender-stamped mid-round Post path.
-void ScheduleRelays(LoopGroup& group, std::vector<std::unique_ptr<WorldUnderTest>>& worlds,
-                    Rng& rng) {
-  for (int i = 0; i < kRelays; ++i) {
-    const int from = static_cast<int>(rng.NextBounded(kWorlds));
-    const int to = static_cast<int>(rng.NextBounded(kWorlds));
-    const SimDuration at = static_cast<SimDuration>(rng.NextBounded(Seconds(2)));
-    const std::string key = OracleKey(static_cast<int>(rng.NextBounded(kKeys)));
-
-    auto obs = std::make_shared<Observation>();
-    obs->key = key;
-    obs->weakest = ConsistencyLevel::kWeak;
-    obs->strongest = ConsistencyLevel::kStrong;
-    WorldUnderTest* target = worlds[static_cast<size_t>(to)].get();
-    target->observations.push_back(obs);
-
-    worlds[static_cast<size_t>(from)]->world.loop().Schedule(at, [&group, to, target, key,
-                                                                  obs]() {
-      group.Post(to, /*when=*/0, [target, key, obs]() {
-        EventLoop* loop = &target->world.loop();
-        Observe(target->clients[0]->Invoke(Operation::Get(key)), obs, loop);
-      });
-    });
-  }
-}
-
-// Runs the full multi-world trial at one thread width and returns the concatenated
-// world fingerprints. Also folds every world's client stats into a ClientStatsGroup
-// (slot = LoopGroup index) and sanity-checks the merged view.
+// Runs the full multi-world trial at one thread count and returns the concatenated
+// world fingerprints, after sanity-checking the summed client stats.
 std::string RunTrial(int threads, uint64_t seed) {
   SCOPED_TRACE("threads=" + std::to_string(threads) + " seed=" + std::to_string(seed));
-  LoopGroup::Options options;
-  options.threads = threads;
-  options.quantum = Millis(5);
-  LoopGroup group(options);
-  ClientStatsGroup stats(kWorlds);
 
   CassandraBindingConfig binding;
   binding.strong_read_quorum = 2;
@@ -231,24 +193,24 @@ std::string RunTrial(int threads, uint64_t seed) {
     for (int i = 0; i < kKeys; ++i) {
       wut->stack->cluster->Preload(OracleKey(i), "init");
     }
-    const int slot = PinWorld(group, wut->world);
-    EXPECT_EQ(slot, w);
     worlds.push_back(std::move(wut));
   }
 
   Rng rng(seed * 41);
+  std::vector<SimWorld*> sim_worlds;
   for (auto& wut : worlds) {
     ScheduleWorldLoad(*wut, rng);
+    sim_worlds.push_back(&wut->world);
   }
-  ScheduleRelays(group, worlds, rng);
 
-  group.RunAll();
-  EXPECT_EQ(group.pending_messages(), 0u);
+  RunWorldsUntil(sim_worlds, Seconds(20), threads);
 
+  ClientStats merged;
   std::ostringstream fingerprint;
   for (int w = 0; w < kWorlds; ++w) {
-    const WorldUnderTest& wut = *worlds[static_cast<size_t>(w)];
+    WorldUnderTest& wut = *worlds[static_cast<size_t>(w)];
     const std::string context = "world" + std::to_string(w);
+    EXPECT_EQ(wut.world.loop().pending_events(), 0u) << context << " did not drain";
     for (const auto& obs : wut.observations) {
       CheckObservation(*obs, context);
     }
@@ -261,28 +223,24 @@ std::string RunTrial(int threads, uint64_t seed) {
             << "replica diverged from program order for " << key << " (" << context << ")";
       }
     }
+    ClientStats world_stats;
     for (const CorrectableClient* client : wut.clients) {
-      stats.Absorb(static_cast<size_t>(w), client->stats());
+      AddClientStats(world_stats, client->stats());
     }
+    EXPECT_EQ(world_stats.invocations, kOps) << context;
+    AddClientStats(merged, world_stats);
     fingerprint << "==" << context << "==" << Fingerprint(wut);
   }
 
-  // Merged stats must cover every invocation the trial issued (kOps per world plus the
-  // relay reads), with views actually delivered.
-  const ClientStats merged = stats.Merged();
-  EXPECT_EQ(merged.invocations, kWorlds * kOps + kRelays);
+  // Summed stats cover every invocation the trial issued, with views delivered.
+  EXPECT_EQ(merged.invocations, kWorlds * kOps);
   EXPECT_GE(merged.views_delivered, merged.invocations);
   EXPECT_EQ(merged.errors, 0);
-  int64_t per_slot_sum = 0;
-  for (size_t w = 0; w < stats.size(); ++w) {
-    per_slot_sum += stats.ForLoop(w).invocations;
-  }
-  EXPECT_EQ(per_slot_sum, merged.invocations);
 
   return fingerprint.str();
 }
 
-TEST(LoopGroupOracle, WidthsAgreeBitForBit) {
+TEST(ParallelWorldsOracle, ThreadCountsAgreeBitForBit) {
   const uint64_t seed = OracleSeed();
   const std::string sequential = RunTrial(/*threads=*/0, seed);
   EXPECT_FALSE(sequential.empty());

@@ -139,9 +139,11 @@ TEST_P(NoOverselling, SoldExactlyStock) {
     endpoints.push_back(
         AddZooKeeperClient(world, stack, Region::kFrankfurt, Region::kFrankfurt));
     sellers.push_back(std::make_unique<TicketSeller>(endpoints.back().client.get(), config));
+    // `loops` owns each purchase loop for the whole test; the closures refer to it by
+    // raw pointer so no loop owns itself.
     auto next = std::make_shared<std::function<void()>>();
     TicketSeller* s = sellers.back().get();
-    *next = [s, next, &sold, &duplicate_sales]() {
+    *next = [s, next = next.get(), &sold, &duplicate_sales]() {
       s->PurchaseTicket([next, &sold, &duplicate_sales](PurchaseOutcome o) {
         if (o.purchased) {
           if (!sold.insert(o.ticket_seq).second) {

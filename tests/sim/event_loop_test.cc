@@ -313,20 +313,6 @@ TEST(EventLoop, ScheduleAfterLongIdleRunUntil) {
   EXPECT_EQ(loop.Now(), Seconds(50000) + Millis(3));
 }
 
-TEST(EventLoop, NextEventTimeReportsEarliest) {
-  EventLoop loop;
-  EXPECT_FALSE(loop.NextEventTime().has_value());
-  loop.Schedule(Millis(20), []() {});
-  const TimerId id = loop.Schedule(Millis(5), []() {});
-  ASSERT_TRUE(loop.NextEventTime().has_value());
-  EXPECT_EQ(*loop.NextEventTime(), Millis(5));
-  loop.Cancel(id);
-  ASSERT_TRUE(loop.NextEventTime().has_value());
-  EXPECT_EQ(*loop.NextEventTime(), Millis(20));
-  loop.Run();
-  EXPECT_FALSE(loop.NextEventTime().has_value());
-}
-
 TEST(EventLoop, ManyEventsStressOrdering) {
   EventLoop loop;
   SimTime last = -1;

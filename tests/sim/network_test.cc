@@ -2,11 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "src/common/histogram.h"
-#include "src/sim/loop_group.h"
 #include "src/sim/topology.h"
 
 namespace icg {
@@ -56,6 +54,46 @@ TEST_F(NetworkTest, JitterProducesSpreadAroundMedian) {
               static_cast<double>(Millis(2)));
   EXPECT_GT(s.max_us, s.min_us);  // actual spread
   EXPECT_GT(s.p99_us, s.p50_us);
+}
+
+// Pins the exact jitter stream: a fixed seeded send sequence (several links, interleaved
+// senders, a self-send, sends spread over time) must keep delivering at these exact
+// virtual times. Every seeded timeline in the repo hangs off this one RNG stream, so a
+// change here reseeds every test and benchmark at once.
+TEST_F(NetworkTest, JitterStreamIsPinnedForAFixedSeed) {
+  Network net(&loop_, &topology_, 2024, /*jitter_sigma=*/0.3);
+  std::vector<SimTime> delivered;
+  const NodeId nodes[] = {irl_, frk_, vrg_};
+  for (int i = 0; i < 12; ++i) {
+    loop_.Schedule(Millis(3) * i, [&, i]() {
+      const NodeId from = nodes[i % 3];
+      const NodeId to = nodes[(i / 2) % 3];
+      // Two back-to-back sends per link, so the FIFO clamp takes part too.
+      net.Send(from, to, 10, [&]() { delivered.push_back(loop_.Now()); });
+      net.Send(from, to, 10, [&]() { delivered.push_back(loop_.Now()); });
+    });
+  }
+  loop_.Run();
+  const std::vector<SimTime> golden = {50,    50,    14554, 14554, 15050, 15050,
+                                       18050, 18050, 19069, 21396, 33050, 33050,
+                                       34612, 34612, 36045, 38184, 56197, 71130,
+                                       79730, 79730, 84958, 86397, 86397, 86397};
+  EXPECT_EQ(delivered, golden);
+}
+
+TEST_F(NetworkTest, LinksStayFifoUnderHeavyJitter) {
+  // Delays vary wildly, but a later message on a directed link never overtakes an
+  // earlier one.
+  Network net(&loop_, &topology_, 99, /*jitter_sigma=*/0.4);
+  std::vector<int> order;
+  for (int i = 0; i < 32; ++i) {
+    net.Send(irl_, frk_, 1, [&order, i]() { order.push_back(i); });
+  }
+  loop_.Run();
+  ASSERT_EQ(order.size(), 32u);
+  for (int i = 0; i < 32; ++i) {
+    EXPECT_EQ(order[static_cast<size_t>(i)], i);
+  }
 }
 
 TEST_F(NetworkTest, BytesAccountedPerDirection) {
@@ -156,115 +194,6 @@ TEST_F(NetworkTest, DroppedMessagesStillAccountBytes) {
   net.Crash(frk_);
   net.Send(irl_, frk_, 77, []() {});
   EXPECT_EQ(net.Sent(irl_, frk_).bytes, 77);
-}
-
-// --- Cross-loop mode ---------------------------------------------------------------
-
-class CrossLoopNetworkTest : public NetworkTest {
- protected:
-  // Home loop on slot 0, one lane on slot 1, frk placed on the lane.
-  void Bind(Network& net, SimDuration quantum) {
-    LoopGroup::Options options;
-    options.quantum = quantum;
-    group_ = std::make_unique<LoopGroup>(options);
-    group_->Attach(&loop_);
-    group_->Attach(&lane_);
-    net.BindGroup(group_.get());
-    net.PlaceNode(frk_, 1);
-  }
-
-  std::unique_ptr<LoopGroup> group_;
-  EventLoop lane_;
-};
-
-TEST_F(CrossLoopNetworkTest, PlacementResolvesSlotsAndLoops) {
-  Network net(&loop_, &topology_, 1, 0.0);
-  EXPECT_FALSE(net.cross_loop());
-  EXPECT_EQ(net.SlotOf(frk_), 0);
-  EXPECT_EQ(net.LoopFor(frk_), &loop_);
-  Bind(net, Millis(1));
-  EXPECT_TRUE(net.cross_loop());
-  EXPECT_EQ(net.SlotOf(irl_), 0);  // unplaced nodes stay on the home slot
-  EXPECT_EQ(net.SlotOf(frk_), 1);
-  EXPECT_EQ(net.LoopFor(irl_), &loop_);
-  EXPECT_EQ(net.LoopFor(frk_), &lane_);
-}
-
-TEST_F(CrossLoopNetworkTest, CrossLoopDeliveryRunsOnPlacedLoop) {
-  Network net(&loop_, &topology_, 1, 0.0);
-  Bind(net, Millis(1));
-  SimTime delivered = -1;
-  loop_.Schedule(0, [&]() {
-    net.Send(irl_, frk_, 100, [&]() { delivered = lane_.Now(); });
-  });
-  group_->RunAll();
-  // Quantum (1 ms) is well under the 10 ms one-way delay, so barrier clamping adds
-  // nothing: delivery lands at the exact raw delay — on the lane's clock.
-  EXPECT_EQ(delivered, Millis(10));
-}
-
-TEST_F(CrossLoopNetworkTest, QuantumBoundsCrossLoopLatency) {
-  Network net(&loop_, &topology_, 1, 0.0);
-  Bind(net, Millis(25));
-  SimTime delivered = -1;
-  loop_.Schedule(0, [&]() {
-    net.Send(irl_, frk_, 100, [&]() { delivered = lane_.Now(); });
-  });
-  group_->RunAll();
-  // The raw delay (10 ms) falls inside round 0, so the message is clamped to that
-  // round's barrier: the quantum is exactly the added-latency bound documented on Send.
-  EXPECT_EQ(delivered, Millis(25));
-}
-
-TEST_F(CrossLoopNetworkTest, SameLoopSendsSkipTheChannel) {
-  Network net(&loop_, &topology_, 1, 0.0);
-  Bind(net, Millis(25));
-  SimTime delivered = -1;
-  // irl and vrg both live on the home loop: in-loop scheduling, no barrier rounding
-  // even with a coarse quantum.
-  loop_.Schedule(0, [&]() {
-    net.Send(irl_, vrg_, 100, [&]() { delivered = loop_.Now(); });
-  });
-  group_->RunAll();
-  // With jitter off the delay is the constant half-RTT, not rounded to any barrier.
-  EXPECT_EQ(delivered, net.SampleDelay(irl_, vrg_));
-  EXPECT_GT(delivered % Millis(25), 0);  // not a barrier multiple: delivered in-round
-  EXPECT_EQ(group_->metrics().Value("channel_messages"), 0);
-}
-
-TEST_F(CrossLoopNetworkTest, FifoHoldsAcrossTheBarrier) {
-  // Jitter on: delays vary, but a later message on the same directed link must never
-  // overtake an earlier one even though both cross the channel.
-  Network net(&loop_, &topology_, 99, /*jitter_sigma=*/0.4);
-  Bind(net, Millis(1));
-  std::vector<int> order;
-  loop_.Schedule(0, [&]() {
-    for (int i = 0; i < 32; ++i) {
-      net.Send(irl_, frk_, 1, [&order, i]() { order.push_back(i); });
-    }
-  });
-  group_->RunAll();
-  ASSERT_EQ(order.size(), 32u);
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(order[static_cast<size_t>(i)], i);
-  }
-}
-
-TEST_F(CrossLoopNetworkTest, AccountingAggregatesAcrossShards) {
-  Network net(&loop_, &topology_, 1, 0.0);
-  Bind(net, Millis(1));
-  loop_.Schedule(0, [&]() { net.Send(irl_, frk_, 100, []() {}); });
-  // The reply shard lives on the lane: frk's sends draw from slot 1's state.
-  lane_.Schedule(Millis(15), [&]() { net.Send(frk_, irl_, 40, []() {}); });
-  group_->RunAll();
-  EXPECT_EQ(net.Sent(irl_, frk_).bytes, 100);
-  EXPECT_EQ(net.Sent(frk_, irl_).bytes, 40);
-  EXPECT_EQ(net.BytesBetween(irl_, frk_), 140);
-  EXPECT_EQ(net.MessagesBetween(irl_, frk_), 2);
-  EXPECT_EQ(net.total_bytes(), 140);
-  net.ResetStats();
-  EXPECT_EQ(net.total_bytes(), 0);
-  EXPECT_EQ(net.Sent(frk_, irl_).bytes, 0);
 }
 
 }  // namespace

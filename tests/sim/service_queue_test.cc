@@ -157,21 +157,5 @@ TEST(ServiceQueue, JobsSubmittedAfterCancelStillComplete) {
   EXPECT_EQ(q.completed(), 1 + 0);
 }
 
-TEST(ServiceQueue, RebindLegalAfterCancelPending) {
-  EventLoop a;
-  EventLoop b;
-  ServiceQueue q(&a, "s");
-  q.Submit(Millis(5), []() {});
-  // In flight on loop `a`: rebind would assert. CancelPending quiesces it first — the
-  // crashed-replica RebindLoop path.
-  q.CancelPending();
-  q.RebindLoop(&b);
-  SimTime completed_at = -1;
-  q.Submit(Millis(3), [&]() { completed_at = b.Now(); });
-  a.Run();  // drains the abandoned completion event harmlessly
-  b.Run();
-  EXPECT_EQ(completed_at, Millis(3));
-}
-
 }  // namespace
 }  // namespace icg
