@@ -12,144 +12,35 @@
 //     least one coordinator scale-out (sustained sheds -> capacity);
 //   - sheds decay to ZERO once the controller has scaled: no shed at all from one
 //     second after the load returns to the low rate;
-//   - the inline ICG oracle stays clean through every controller action: monotone
-//     weakest-first views, exactly one terminal per invocation, no views after a
-//     terminal, no error other than a retryable overload shed.
+//   - the ICG contract oracle (src/harness/icg_oracle.h) stays clean through every
+//     controller action: monotone weakest-first views, exactly one terminal per
+//     invocation, finals at the strongest level, no thin-air reads, per-key program
+//     order into replica state, no error other than a retryable overload shed.
 //
 // Flags: --smoke shortens the trial for CI smoke runs (the JSON summary is still
 // written); output includes BENCH_autoscale_load.json with the phase throughputs, the
 // ramp-following delay, shed decay, the controller's applied-action log, and the
 // oracle counters.
-#include <algorithm>
-#include <cstring>
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/random.h"
 #include "src/harness/deployment.h"
-#include "src/harness/executors.h"
+#include "src/harness/icg_oracle.h"
 #include "src/harness/orchestrator.h"
 
 namespace icg {
 namespace {
 
 constexpr SimDuration kBucket = Millis(250);
-constexpr SimDuration kRetryBackoff = Millis(50);
-constexpr int kKeys = 48;
-constexpr int kClients = 3;
-
-struct TrialState {
-  std::vector<int64_t> buckets;       // completions per 250ms of virtual time
-  std::vector<int64_t> shed_buckets;  // overload sheds per 250ms of virtual time
-  int64_t submitted = 0;              // logical operations (excluding retries)
-  int64_t completed = 0;
-  int64_t sheds = 0;                  // shed attempts (each retried)
-  int64_t unexpected_errors = 0;      // any terminal error that is not an overload shed
-  int64_t duplicate_finals = 0;
-  int64_t monotonicity_violations = 0;
-  int64_t views_after_terminal = 0;
-};
-
-struct InvocationCheck {
-  int terminals = 0;
-  bool has_level = false;
-  ConsistencyLevel last_level = ConsistencyLevel::kWeak;
-};
-
-void CheckView(TrialState& state, const std::shared_ptr<InvocationCheck>& check,
-               ConsistencyLevel level, bool is_terminal) {
-  if (check->terminals > 0) {
-    state.views_after_terminal++;
-  }
-  if (check->has_level && !IsStrongerOrEqual(level, check->last_level)) {
-    state.monotonicity_violations++;
-  }
-  check->has_level = true;
-  check->last_level = level;
-  if (is_terminal) {
-    check->terminals++;
-    if (check->terminals > 1) {
-      state.duplicate_finals++;
-    }
-  }
-}
-
-void Bucket(std::vector<int64_t>& buckets, SimTime at) {
-  const size_t index =
-      std::min(static_cast<size_t>(at / kBucket), buckets.size() - 1);
-  buckets[index]++;
-}
-
-// One logical operation, retried on overload sheds (synchronous admission sheds and
-// asynchronous cohort-flush sheds alike) until it completes.
-void Submit(TrialState& state, EventLoop* front, CorrectableClient* client,
-            bool is_write, const std::string& key, const std::string& value) {
-  Correctable<OpResult> c = is_write
-                                ? client->InvokeStrong(Operation::Put(key, value))
-                                : client->Invoke(Operation::Get(key));
-  const auto retry = [&state, front, client, is_write, key, value]() {
-    front->Schedule(kRetryBackoff, [&state, front, client, is_write, key, value]() {
-      Submit(state, front, client, is_write, key, value);
-    });
-  };
-  if (c.state() == CorrectableState::kError &&
-      c.error().code() == StatusCode::kOverloaded) {
-    state.sheds++;
-    Bucket(state.shed_buckets, front->Now());
-    retry();
-    return;
-  }
-  auto check = std::make_shared<InvocationCheck>();
-  c.SetCallbacks(
-      [&state, check](const View<OpResult>& v) {
-        CheckView(state, check, v.level, /*is_terminal=*/false);
-      },
-      [&state, check, front](const View<OpResult>& v) {
-        CheckView(state, check, v.level, /*is_terminal=*/true);
-        state.completed++;
-        Bucket(state.buckets, front->Now());
-      },
-      [&state, check, front, retry](const Status& status) {
-        if (check->terminals > 0) {
-          state.views_after_terminal++;
-        }
-        check->terminals++;
-        if (status.code() == StatusCode::kOverloaded) {
-          state.sheds++;
-          Bucket(state.shed_buckets, front->Now());
-          retry();
-        } else {
-          state.unexpected_errors++;
-        }
-      });
-}
-
-double RateOver(const std::vector<int64_t>& buckets, SimTime from, SimTime to) {
-  const size_t first = static_cast<size_t>(from / kBucket);
-  const size_t last = std::min(static_cast<size_t>(to / kBucket), buckets.size());
-  if (last <= first) return 0.0;
-  int64_t ops = 0;
-  for (size_t i = first; i < last; ++i) ops += buckets[i];
-  return static_cast<double>(ops) /
-         ToSeconds(static_cast<SimDuration>(last - first) * kBucket);
-}
-
-std::string Key(int index) { return "akey" + std::to_string(index); }
 
 }  // namespace
 }  // namespace icg
 
 int main(int argc, char** argv) {
   using namespace icg;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::HasFlag(argc, argv, "--smoke");
 
   const uint64_t seed = 42;
   const double low_rate = 150.0;
@@ -180,81 +71,63 @@ int main(int argc, char** argv) {
        Region::kOregon});
   auto& frk = AddShardedCassandraClient(world, stack, binding, Region::kFrankfurt);
   auto& vrg = AddShardedCassandraClient(world, stack, binding, Region::kVirginia);
-  std::vector<CorrectableClient*> clients = {stack.client(), frk.client.get(),
-                                             vrg.client.get()};
   stack.SetShardQueueLimit(8);
-  for (int i = 0; i < kKeys; ++i) {
-    stack.cluster->Preload(Key(i), "init");
-  }
+
+  // Hand-scheduled open-loop arrivals: uniform within each phase, writes partitioned
+  // per client, reads through invoke(). The schedule is fixed up front — completions
+  // never gate arrivals — and every shed retries after 50ms of virtual time.
+  RandomKvLoadSpec spec;
+  spec.key_prefix = "akey";
+  spec.keys = 48;
+  spec.phases = {
+      {0, phase_low, static_cast<int>(low_rate * ToSeconds(phase_low))},
+      {ramp_start, phase_ramp, static_cast<int>(high_rate * ToSeconds(phase_ramp))},
+      {ramp_end, phase_tail, static_cast<int>(low_rate * ToSeconds(phase_tail))},
+  };
+  spec.mixed_reads = false;
+  spec.shed_retry = Millis(50);
+  ContractChecker checker(SanctionedError::kOverloaded, &world.loop());
+  RandomKvLoad load({stack.client(), frk.client.get(), vrg.client.get()}, &checker, spec);
+  load.Preload(*stack.cluster);
 
   OrchestratorOptions orch_options;
   orch_options.min_coordinators = 2;
   Orchestrator orchestrator(&world, &stack, orch_options);
   orchestrator.Start();
 
-  TrialState state;
-  state.buckets.assign(static_cast<size_t>(run_end / kBucket) + 8, 0);
-  state.shed_buckets.assign(state.buckets.size(), 0);
-
-  // Hand-scheduled open-loop arrivals: uniform within each phase, writes partitioned
-  // per client. The schedule is fixed up front — completions never gate arrivals.
-  struct Phase {
-    SimTime start;
-    SimDuration length;
-    int ops;
-  };
-  const std::vector<Phase> phases = {
-      {0, phase_low, static_cast<int>(low_rate * ToSeconds(phase_low))},
-      {ramp_start, phase_ramp, static_cast<int>(high_rate * ToSeconds(phase_ramp))},
-      {ramp_end, phase_tail, static_cast<int>(low_rate * ToSeconds(phase_tail))},
-  };
   Rng rng(seed * 7);
-  EventLoop* front = &world.loop();
-  int write_counter = 0;
-  for (const Phase& phase : phases) {
-    for (int i = 0; i < phase.ops; ++i) {
-      const SimTime at =
-          phase.start + static_cast<SimTime>(rng.NextBounded(phase.length));
-      const size_t client_index = static_cast<size_t>(rng.NextBounded(kClients));
-      const bool is_write = rng.NextBool(0.25);
-      int key_index = static_cast<int>(rng.NextBounded(kKeys));
-      if (is_write) {
-        key_index = (key_index / kClients) * kClients + static_cast<int>(client_index);
-      }
-      const std::string key = Key(key_index);
-      std::string value;
-      if (is_write) {
-        value = "c" + std::to_string(client_index) + "-" +
-                std::to_string(write_counter++);
-      }
-      CorrectableClient* client = clients[client_index];
-      state.submitted++;
-      front->Schedule(at, [&state, front, client, is_write, key, value]() {
-        Submit(state, front, client, is_write, key, value);
-      });
-    }
-  }
+  load.Schedule(rng);
 
-  front->RunUntil(run_end);
+  world.loop().RunUntil(run_end);
   orchestrator.Stop();
-  front->Run();
+  world.loop().Run();
+  checker.Finish();
+  checker.CheckProgramOrder(*stack.cluster);
+
+  bench::TimeBuckets completions(kBucket, run_end);
+  for (const ContractChecker::Invocation& inv : checker.invocations()) {
+    if (inv.finals > 0) completions.Add(inv.closed_at);
+  }
+  bench::TimeBuckets sheds(kBucket, run_end);
+  for (const SimTime at : load.shed_times()) {
+    sheds.Add(at);
+  }
 
   // Phase throughputs from the completion buckets. "Follows within 2 control
   // intervals" is the gate: by ramp_start + 500ms the completion rate must already be
   // tracking the new offered load.
-  const double pre_ramp = RateOver(state.buckets, Seconds(1), ramp_start);
+  const double pre_ramp = completions.RateOver(Seconds(1), ramp_start);
   const SimTime follow_from = ramp_start + 2 * orch_options.control_interval;
-  const double ramp_rate = RateOver(state.buckets, follow_from, ramp_end);
-  const double tail_rate = RateOver(state.buckets, ramp_end + Seconds(1), load_end);
+  const double ramp_rate = completions.RateOver(follow_from, ramp_end);
+  const double tail_rate = completions.RateOver(ramp_end + Seconds(1), load_end);
   const double follow_ratio = pre_ramp > 0 ? ramp_rate / pre_ramp : 0.0;
 
   // When did throughput first track the ramp? First bucket at or after ramp_start
   // whose rate reaches 5x the pre-ramp plateau.
   double followed_after_ms = -1.0;
-  for (size_t i = static_cast<size_t>(ramp_start / kBucket);
-       i < static_cast<size_t>(ramp_end / kBucket) && i < state.buckets.size(); ++i) {
-    const double rate = static_cast<double>(state.buckets[i]) / ToSeconds(kBucket);
-    if (rate >= 5.0 * pre_ramp) {
+  for (size_t i = completions.Index(ramp_start);
+       i < completions.Index(ramp_end) && i < completions.size(); ++i) {
+    if (completions.Rate(i) >= 5.0 * pre_ramp) {
       followed_after_ms =
           ToMillis(static_cast<SimTime>(i) * kBucket - ramp_start + kBucket);
       break;
@@ -262,11 +135,7 @@ int main(int argc, char** argv) {
   }
 
   // Shed decay: nothing may shed from one second after the load returns to low rate.
-  int64_t sheds_after_settle = 0;
-  for (size_t i = static_cast<size_t>((ramp_end + Seconds(1)) / kBucket);
-       i < state.shed_buckets.size(); ++i) {
-    sheds_after_settle += state.shed_buckets[i];
-  }
+  const int64_t sheds_after_settle = sheds.CountFrom(ramp_end + Seconds(1));
 
   std::map<ControlActionKind, int> action_counts;
   for (const OrchestratorEvent& event : orchestrator.events()) {
@@ -299,27 +168,25 @@ int main(int argc, char** argv) {
   }
   std::printf("sheds: %lld total (all retried), %lld after settle; throughput followed"
               " the ramp %s\n",
-              static_cast<long long>(state.sheds),
+              static_cast<long long>(load.sheds()),
               static_cast<long long>(sheds_after_settle),
               followed_after_ms >= 0
                   ? ("in " + bench::Fmt(followed_after_ms, 0) + " ms").c_str()
                   : "NEVER");
 
-  const bool oracle_clean = state.unexpected_errors == 0 &&
-                            state.duplicate_finals == 0 &&
-                            state.monotonicity_violations == 0 &&
-                            state.views_after_terminal == 0 &&
-                            state.completed == state.submitted;
+  const ContractViolations& violations = checker.violations();
+  const bool oracle_clean =
+      violations.total() == 0 && checker.finals() == load.operations();
   const bool followed =
       follow_ratio >= 5.0 && followed_after_ms >= 0 &&
       followed_after_ms <= ToMillis(2 * orch_options.control_interval);
   const bool controller_acted = widens >= 1 && scale_outs >= 1;
-  const bool sheds_decayed = state.sheds > 0 && sheds_after_settle == 0;
+  const bool sheds_decayed = load.sheds() > 0 && sheds_after_settle == 0;
   std::printf("oracle: %s (%lld/%lld completed); gates: followed=%s acted=%s"
               " sheds_decayed=%s\n",
-              oracle_clean ? "clean" : "VIOLATED",
-              static_cast<long long>(state.completed),
-              static_cast<long long>(state.submitted), followed ? "yes" : "NO",
+              oracle_clean ? "clean" : ("VIOLATED: " + checker.Report()).c_str(),
+              static_cast<long long>(checker.finals()),
+              static_cast<long long>(load.operations()), followed ? "yes" : "NO",
               controller_acted ? "yes" : "NO", sheds_decayed ? "yes" : "NO");
 
   bench::JsonSummary json("autoscale_load");
@@ -340,14 +207,15 @@ int main(int argc, char** argv) {
   json.Add("controller.final_window_index",
            static_cast<int64_t>(orchestrator.window_index()));
   json.Add("controller.ring_epoch", static_cast<int64_t>(stack.ring_epoch()));
-  json.Add("sheds.total", state.sheds);
+  json.Add("sheds.total", load.sheds());
   json.Add("sheds.after_settle", sheds_after_settle);
-  json.Add("oracle.submitted", state.submitted);
-  json.Add("oracle.completed", state.completed);
-  json.Add("oracle.unexpected_errors", state.unexpected_errors);
-  json.Add("oracle.duplicate_finals", state.duplicate_finals);
-  json.Add("oracle.monotonicity_violations", state.monotonicity_violations);
-  json.Add("oracle.views_after_terminal", state.views_after_terminal);
+  json.Add("oracle.submitted", load.operations());
+  json.Add("oracle.completed", checker.finals());
+  json.Add("oracle.unexpected_errors", violations.unsanctioned_errors);
+  json.Add("oracle.duplicate_finals", violations.duplicate_finals);
+  json.Add("oracle.monotonicity_violations", violations.regressions);
+  json.Add("oracle.views_after_terminal", violations.after_terminal);
+  json.Add("oracle.violations", violations.total());
   json.Write();
 
   return oracle_clean && followed && controller_acted && sheds_decayed ? 0 : 1;

@@ -15,7 +15,6 @@
 // Flags: --smoke shortens the trial for CI smoke runs (the JSON summary is still
 // written); output includes BENCH_batch_window.json with throughput, latencies, link
 // traffic, and the batching counters for every window.
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -98,12 +97,7 @@ TrialResult RunTrial(SimDuration window, int threads_per_client, SimDuration dur
 
 int main(int argc, char** argv) {
   using namespace icg;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::HasFlag(argc, argv, "--smoke");
 
   const int threads = smoke ? 32 : 48;
   const SimDuration duration = smoke ? Seconds(5) : Seconds(30);

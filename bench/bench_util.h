@@ -5,14 +5,68 @@
 #ifndef ICG_BENCH_BENCH_UTIL_H_
 #define ICG_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/histogram.h"
+#include "src/common/types.h"
 
 namespace icg::bench {
+
+// True if `flag` (e.g. "--smoke") is among the command-line arguments.
+inline bool HasFlag(int argc, char** argv, const char* flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Event counts per fixed-width bucket of virtual time, sized to a horizon plus eight
+// buckets of drain slack; later events land in the last bucket.
+class TimeBuckets {
+ public:
+  TimeBuckets(SimDuration width, SimTime horizon)
+      : width_(width), counts_(static_cast<size_t>(horizon / width) + 8, 0) {}
+
+  void Add(SimTime at) { counts_[std::min(Index(at), counts_.size() - 1)]++; }
+
+  size_t Index(SimTime at) const { return static_cast<size_t>(at / width_); }
+  size_t size() const { return counts_.size(); }
+  // Events per second in bucket `i`.
+  double Rate(size_t i) const { return static_cast<double>(counts_[i]) / ToSeconds(width_); }
+  // Events per second over the whole buckets in [from, to).
+  double RateOver(SimTime from, SimTime to) const {
+    const size_t first = Index(from);
+    const size_t last = std::min(Index(to), counts_.size());
+    if (last <= first) {
+      return 0.0;
+    }
+    int64_t events = 0;
+    for (size_t i = first; i < last; ++i) {
+      events += counts_[i];
+    }
+    return static_cast<double>(events) /
+           ToSeconds(static_cast<SimDuration>(last - first) * width_);
+  }
+  // Events in buckets from `from` on.
+  int64_t CountFrom(SimTime from) const {
+    int64_t events = 0;
+    for (size_t i = Index(from); i < counts_.size(); ++i) {
+      events += counts_[i];
+    }
+    return events;
+  }
+
+ private:
+  SimDuration width_;
+  std::vector<int64_t> counts_;
+};
 
 inline void PrintHeader(const std::string& figure, const std::string& description) {
   std::printf("\n=== %s ===\n%s\n\n", figure.c_str(), description.c_str());

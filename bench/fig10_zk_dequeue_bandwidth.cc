@@ -39,10 +39,14 @@ Result RunContention(int64_t queue_size, int num_clients, bool czk, uint64_t see
 
   auto remaining = std::make_shared<int64_t>(total_dequeues);
   auto completed = std::make_shared<int64_t>(0);
+  // `loops` owns each client's dequeue loop for the whole run; the closures refer to it
+  // by raw pointer so no loop owns itself.
+  std::vector<std::shared_ptr<std::function<void()>>> loops;
   for (auto& client : clients) {
     ZabClient* c = client.get();
     auto next = std::make_shared<std::function<void()>>();
-    *next = [c, czk, remaining, completed, next]() {
+    loops.push_back(next);
+    *next = [c, czk, remaining, completed, next = next.get()]() {
       if (*remaining <= 0) {
         return;
       }

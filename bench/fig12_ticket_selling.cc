@@ -60,12 +60,14 @@ RunStats RunSale(bool czk, uint64_t seed) {
 
   auto stats = std::make_shared<RunStats>();
   auto purchases = std::make_shared<int64_t>(0);
-  // Closed loop per retailer: keep buying until sold out.
+  // Closed loop per retailer: keep buying until sold out. `loops` owns each purchase
+  // loop for the whole run; the closures refer to it by raw pointer so no loop owns
+  // itself.
   std::vector<std::shared_ptr<std::function<void()>>> loops;
   for (auto& seller : sellers) {
     auto next = std::make_shared<std::function<void()>>();
     TicketSeller* s = seller.get();
-    *next = [s, next, stats, purchases]() {
+    *next = [s, next = next.get(), stats, purchases]() {
       s->PurchaseTicket([next, stats, purchases](PurchaseOutcome outcome) {
         if (outcome.purchased) {
           (*purchases)++;

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -121,12 +120,7 @@ bool StatsEqual(const ClientStats& a, const ClientStats& b) {
 
 int main(int argc, char** argv) {
   using namespace icg;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::HasFlag(argc, argv, "--smoke");
 
   const int cores = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   // Always run at least 2 threads so the threaded path (and its determinism oracle) is

@@ -11,24 +11,23 @@
 // virtual time, so the output shows the pre-join plateau, the transition, and the
 // post-join steady state.
 //
-// Every invocation runs under an inline consistency oracle (weakest-first monotone view
-// levels, exactly one terminal, no views after the terminal). The bench FAILS if the
-// transition loses, duplicates, or reorders a single invocation — or if post-join
-// steady-state throughput does not at least match the pre-join baseline (it should beat
-// it: the newcomer absorbs ~1/3 of the key space from the two saturated survivors).
+// Every invocation runs under the ICG contract oracle (src/harness/icg_oracle.h:
+// weakest-first monotone view levels, exactly one terminal, finals at the strongest
+// level, no error at all). The bench FAILS if the transition loses, duplicates, or
+// reorders a single invocation — or if post-join steady-state throughput does not at
+// least match the pre-join baseline (it should beat it: the newcomer absorbs ~1/3 of the
+// key space from the two saturated survivors).
 //
 // Flags: --smoke shortens the trial for CI smoke runs (the JSON summary is still
 // written); output includes BENCH_rebalance_load.json with pre/post throughput, the
 // transition-dip depth, recovery time, and the oracle counters.
 #include <algorithm>
-#include <cstring>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/harness/deployment.h"
 #include "src/harness/executors.h"
+#include "src/harness/icg_oracle.h"
 #include "src/ycsb/multi_runner.h"
 
 namespace icg {
@@ -37,134 +36,12 @@ namespace {
 constexpr int64_t kRecords = 8000;
 constexpr SimDuration kBucket = Millis(250);
 
-// Shared across the three clients' executors: per-bucket completion counts plus the
-// inline oracle tallies.
-struct TrialState {
-  std::vector<int64_t> buckets;
-  int64_t completed = 0;
-  int64_t issued = 0;
-  int64_t errors = 0;
-  int64_t duplicate_finals = 0;        // a second terminal view for one invocation
-  int64_t monotonicity_violations = 0; // a view level regressed within one invocation
-  int64_t views_after_terminal = 0;
-};
-
-// Per-invocation oracle record.
-struct InvocationCheck {
-  int finals = 0;
-  int errors = 0;
-  bool has_level = false;
-  ConsistencyLevel last_level = ConsistencyLevel::kWeak;
-};
-
-void CheckView(const std::shared_ptr<TrialState>& state,
-               const std::shared_ptr<InvocationCheck>& check, ConsistencyLevel level,
-               bool is_terminal) {
-  if (check->finals + check->errors > 0) {
-    state->views_after_terminal++;
-  }
-  if (check->has_level && !IsStrongerOrEqual(level, check->last_level)) {
-    state->monotonicity_violations++;
-  }
-  check->has_level = true;
-  check->last_level = level;
-  if (is_terminal) {
-    check->finals++;
-    if (check->finals > 1) {
-      state->duplicate_finals++;
-    }
-  }
-}
-
-void RecordCompletion(EventLoop* loop, const std::shared_ptr<TrialState>& state) {
-  const size_t bucket =
-      std::min(static_cast<size_t>(loop->Now() / kBucket), state->buckets.size() - 1);
-  state->buckets[bucket]++;
-  state->completed++;
-}
-
-// The ICG executor of MakeKvExecutor with the oracle wired into every callback.
-OpExecutor MakeCheckedIcgExecutor(CorrectableClient* client, EventLoop* loop,
-                                  std::shared_ptr<TrialState> state) {
-  return [client, loop, state](const YcsbOp& op, std::function<void(OpOutcome)> done) {
-    const SimTime start = loop->Now();
-    auto now = [loop, start]() { return loop->Now() - start; };
-    state->issued++;
-    auto check = std::make_shared<InvocationCheck>();
-    auto outcome = std::make_shared<OpOutcome>();
-
-    if (!op.is_read) {
-      client->InvokeStrong(Operation::Put(op.key, op.value))
-          .SetCallbacks(
-              [state, check](const View<OpResult>& v) {
-                CheckView(state, check, v.level, /*is_terminal=*/false);
-              },
-              [state, check, outcome, loop, done, now](const View<OpResult>& v) {
-                CheckView(state, check, v.level, /*is_terminal=*/true);
-                outcome->final_latency = now();
-                RecordCompletion(loop, state);
-                done(*outcome);
-              },
-              [state, check, outcome, loop, done, now](const Status&) {
-                check->errors++;
-                state->errors++;
-                outcome->error = true;
-                outcome->final_latency = now();
-                RecordCompletion(loop, state);
-                done(*outcome);
-              });
-      return;
-    }
-
-    client->Invoke(Operation::Get(op.key))
-        .SetCallbacks(
-            [state, check, outcome, now](const View<OpResult>& v) {
-              CheckView(state, check, v.level, /*is_terminal=*/false);
-              if (!outcome->preliminary_latency.has_value()) {
-                outcome->preliminary_latency = now();
-              }
-            },
-            [state, check, outcome, loop, done, now](const View<OpResult>& v) {
-              CheckView(state, check, v.level, /*is_terminal=*/true);
-              outcome->final_latency = now();
-              RecordCompletion(loop, state);
-              done(*outcome);
-            },
-            [state, check, outcome, loop, done, now](const Status&) {
-              check->errors++;
-              state->errors++;
-              outcome->error = true;
-              outcome->final_latency = now();
-              RecordCompletion(loop, state);
-              done(*outcome);
-            });
-  };
-}
-
-double BucketRate(const TrialState& state, SimTime from, SimTime to) {
-  const size_t first = static_cast<size_t>(from / kBucket);
-  const size_t last = std::min(static_cast<size_t>(to / kBucket), state.buckets.size());
-  if (last <= first) {
-    return 0.0;
-  }
-  int64_t ops = 0;
-  for (size_t i = first; i < last; ++i) {
-    ops += state.buckets[i];
-  }
-  return static_cast<double>(ops) / ToSeconds(static_cast<SimDuration>(last - first) * kBucket);
-}
-
 }  // namespace
 }  // namespace icg
 
 int main(int argc, char** argv) {
   using namespace icg;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::HasFlag(argc, argv, "--smoke");
 
   const int threads = smoke ? 48 : 64;
   const SimDuration duration = smoke ? Seconds(12) : Seconds(36);
@@ -191,8 +68,7 @@ int main(int argc, char** argv) {
   const WorkloadConfig workload = WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords);
   PreloadYcsbDataset(stack.cluster.get(), workload);
 
-  auto state = std::make_shared<TrialState>();
-  state->buckets.assign(static_cast<size_t>(duration / kBucket) + 8, 0);
+  ContractChecker checker(SanctionedError::kNone, &world.loop());
 
   RunnerConfig config;
   config.threads = threads;
@@ -201,12 +77,9 @@ int main(int argc, char** argv) {
   config.cooldown = warmup;
 
   MultiRunner runner(&world.loop(), config);
-  runner.AddClient(workload, seed * 3 + 1,
-                   MakeCheckedIcgExecutor(stack.client(), &world.loop(), state));
-  runner.AddClient(workload, seed * 3 + 2,
-                   MakeCheckedIcgExecutor(frk.client.get(), &world.loop(), state));
-  runner.AddClient(workload, seed * 3 + 3,
-                   MakeCheckedIcgExecutor(vrg.client.get(), &world.loop(), state));
+  runner.AddClient(workload, seed * 3 + 1, MakeOracleIcgExecutor(stack.client(), &checker));
+  runner.AddClient(workload, seed * 3 + 2, MakeOracleIcgExecutor(frk.client.get(), &checker));
+  runner.AddClient(workload, seed * 3 + 3, MakeOracleIcgExecutor(vrg.client.get(), &checker));
 
   // The membership change, scheduled into the middle of the trial.
   const NodeId joiner = stack.cluster->replicas().back()->id();
@@ -219,19 +92,24 @@ int main(int argc, char** argv) {
   });
 
   const RunnerResult load = runner.Run();
+  checker.Finish();
+  bench::TimeBuckets completions(kBucket, duration);
+  for (const ContractChecker::Invocation& inv : checker.invocations()) {
+    if (inv.closed()) completions.Add(inv.closed_at);
+  }
 
   // Pre-join plateau vs. post-join steady state, from the completion buckets.
-  const double pre_join = BucketRate(*state, warmup, join_at);
-  const double post_join = BucketRate(*state, join_at + settle, duration - warmup);
+  const double pre_join = completions.RateOver(warmup, join_at);
+  const double post_join = completions.RateOver(join_at + settle, duration - warmup);
   // Transition detail: the worst bucket right after the join, and how long until the
   // completion rate first met the pre-join plateau again.
-  const size_t join_bucket = static_cast<size_t>(join_at / kBucket);
+  const size_t join_bucket = completions.Index(join_at);
   const size_t settle_buckets = static_cast<size_t>(settle / kBucket);
   double dip = pre_join;
   double recovery_ms = -1.0;
-  for (size_t i = join_bucket; i < join_bucket + settle_buckets && i < state->buckets.size();
+  for (size_t i = join_bucket; i < join_bucket + settle_buckets && i < completions.size();
        ++i) {
-    const double rate = static_cast<double>(state->buckets[i]) / ToSeconds(kBucket);
+    const double rate = completions.Rate(i);
     dip = std::min(dip, rate);
     if (recovery_ms < 0 && rate >= pre_join) {
       recovery_ms = ToMillis(static_cast<SimDuration>(i + 1 - join_bucket) * kBucket);
@@ -247,13 +125,15 @@ int main(int argc, char** argv) {
                 "steady state, ring epoch " + std::to_string(epoch_after)});
   table.Print();
 
-  const bool oracle_clean = state->errors == 0 && state->duplicate_finals == 0 &&
-                            state->monotonicity_violations == 0 &&
-                            state->views_after_terminal == 0;
+  const ContractViolations& violations = checker.violations();
+  const bool oracle_clean = violations.total() == 0;
   const bool recovered = post_join >= pre_join;
-  std::printf("ops issued %lld, completed %lld; oracle: %s\n",
-              static_cast<long long>(state->issued), static_cast<long long>(state->completed),
-              oracle_clean ? "clean (no loss, duplication, or reordering)" : "VIOLATED");
+  const auto issued = static_cast<int64_t>(checker.invocations().size());
+  const int64_t completed = checker.finals() + checker.errors();
+  std::printf("ops issued %lld, completed %lld; oracle: %s\n", static_cast<long long>(issued),
+              static_cast<long long>(completed),
+              oracle_clean ? "clean (no loss, duplication, or reordering)"
+                           : ("VIOLATED: " + checker.Report()).c_str());
   std::printf("moved key share at join: %.1f%%; recovery to pre-join rate: %s\n",
               100.0 * moved_fraction,
               recovery_ms >= 0 ? (bench::Fmt(recovery_ms, 0) + " ms").c_str() : "within settle");
@@ -271,12 +151,13 @@ int main(int argc, char** argv) {
   json.Add("transition.moved_fraction", moved_fraction, 3);
   json.Add("speedup_post_vs_pre", pre_join > 0 ? post_join / pre_join : 0.0, 2);
   json.Add("ring_epoch_after", static_cast<int64_t>(epoch_after));
-  json.Add("oracle.issued", state->issued);
-  json.Add("oracle.completed", state->completed);
-  json.Add("oracle.errors", state->errors);
-  json.Add("oracle.duplicate_finals", state->duplicate_finals);
-  json.Add("oracle.monotonicity_violations", state->monotonicity_violations);
-  json.Add("oracle.views_after_terminal", state->views_after_terminal);
+  json.Add("oracle.issued", issued);
+  json.Add("oracle.completed", completed);
+  json.Add("oracle.errors", checker.errors());
+  json.Add("oracle.duplicate_finals", violations.duplicate_finals);
+  json.Add("oracle.monotonicity_violations", violations.regressions);
+  json.Add("oracle.views_after_terminal", violations.after_terminal);
+  json.Add("oracle.violations", violations.total());
   json.Add("load.errors", load.errors);
   json.AddLatencies("load", load.throughput_ops, load.preliminary, load.final_view);
   json.Write();

@@ -12,7 +12,6 @@
 // Flags: --smoke shortens the trial for CI smoke runs (the JSON summary is still
 // written); output includes a BENCH_sharded_load.json with throughput and p50/p99
 // preliminary+final latencies for every configuration.
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -58,12 +57,7 @@ RunnerResult RunTrial(int n_coordinators, KvMode mode, int threads_per_client,
 
 int main(int argc, char** argv) {
   using namespace icg;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::HasFlag(argc, argv, "--smoke");
 
   // Enough closed-loop sessions to drive a single ~0.9 ms/read coordinator well past
   // saturation (3 clients x 64 threads vs. a ~1.1 kops/s single-queue ceiling).

@@ -2,226 +2,45 @@
 // random reads and writes at random times through real storage stacks, across batch
 // windows 0 (legacy same-tick coalescing), small, and large. Whatever the batching
 // layer merges, splits, delays, or fans back out, every Correctable must still obey the
-// paper's contract — weakest-first monotone view delivery, exactly one terminal view
-// (no lost or duplicated finals), and per-key write program order surviving all the way
-// into replica state.
+// paper's contract (src/harness/icg_oracle.h) — weakest-first monotone view delivery,
+// exactly one terminal view (no lost or duplicated finals), finals at the strongest
+// requested level, no thin-air values — and per-key write program order must survive
+// all the way into replica state.
 //
 // The RNG seed comes from ICG_ORACLE_SEED (default 12345); CI sweeps several seeds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/bindings/blockchain_binding.h"
 #include "src/common/random.h"
 #include "src/harness/deployment.h"
+#include "src/harness/icg_oracle.h"
 
 namespace icg {
 namespace {
 
-uint64_t OracleSeed() {
-  const char* env = std::getenv("ICG_ORACLE_SEED");
-  if (env != nullptr && *env != '\0') {
-    return std::strtoull(env, nullptr, 10);
-  }
-  return 12345;
+// 400 random operations from the three clients over three seconds, on 39 keys (a
+// multiple of the client count, so the single-writer partition is exact).
+RandomKvLoadSpec OracleLoadSpec() {
+  RandomKvLoadSpec spec;
+  spec.phases = {{0, Seconds(3), 400}};
+  return spec;
 }
 
-// Everything the oracle records about one invocation, filled in by the Correctable's
-// callbacks as the run unfolds.
-struct Observation {
-  bool is_write = false;
-  size_t client = 0;
-  std::string key;
-  std::string written_value;
-  ConsistencyLevel weakest = ConsistencyLevel::kStrong;
-  ConsistencyLevel strongest = ConsistencyLevel::kStrong;
-  std::vector<ConsistencyLevel> delivered;  // every view's level, in delivery order
-  int finals = 0;
-  int errors = 0;
-  bool view_after_terminal = false;
-  OpResult final_value;
-  Version ack_version{};  // writes: the acknowledged store version
-};
-
-// Wires the oracle's callbacks onto one invocation's Correctable.
-void Observe(Correctable<OpResult> c, const std::shared_ptr<Observation>& obs) {
-  c.SetCallbacks(
-      [obs](const View<OpResult>& v) {
-        if (obs->finals + obs->errors > 0) {
-          obs->view_after_terminal = true;
-        }
-        obs->delivered.push_back(v.level);
-      },
-      [obs](const View<OpResult>& v) {
-        if (obs->finals + obs->errors > 0) {
-          obs->view_after_terminal = true;
-        }
-        obs->finals++;
-        obs->delivered.push_back(v.level);
-        obs->final_value = v.value;
-        obs->ack_version = v.value.version;
-      },
-      [obs](const Status&) {
-        if (obs->finals + obs->errors > 0) {
-          obs->view_after_terminal = true;
-        }
-        obs->errors++;
-      });
-}
-
-// The oracle assertions every observation must satisfy, regardless of batching.
-void CheckObservation(const Observation& obs, const std::string& context) {
-  SCOPED_TRACE(context + " key=" + obs.key + " client=" + std::to_string(obs.client));
-  // No lost finals: every invocation terminates; no duplicated finals either.
-  EXPECT_EQ(obs.finals + obs.errors, 1) << "invocation must close exactly once";
-  EXPECT_FALSE(obs.view_after_terminal) << "views delivered after the terminal view";
-  // Weakest-first monotone delivery: levels never regress.
-  for (size_t i = 1; i < obs.delivered.size(); ++i) {
-    EXPECT_TRUE(IsStrongerOrEqual(obs.delivered[i], obs.delivered[i - 1]))
-        << "view level regressed at position " << i;
-  }
-  if (obs.finals == 1) {
-    ASSERT_FALSE(obs.delivered.empty());
-    // The terminal view lands at the strongest requested level.
-    EXPECT_EQ(obs.delivered.back(), obs.strongest);
-    // And nothing ever exceeded the request or undercut the weakest.
-    for (const ConsistencyLevel level : obs.delivered) {
-      EXPECT_TRUE(IsStrongerOrEqual(obs.strongest, level));
-      EXPECT_TRUE(IsStrongerOrEqual(level, obs.weakest));
-    }
-  }
-}
-
-// kKeys is a multiple of kClients so the single-writer-per-key partition below is
-// exact: (index / kClients) * kClients + client never wraps onto another writer's key.
-constexpr int kKeys = 39;
-constexpr int kClients = 3;
-
-std::string OracleKey(int index) { return "okey" + std::to_string(index); }
-
-// Shared submission-order bookkeeping of the sharded trials, recorded at *submission*
-// time (ops are scheduled at random instants, so creation order is not program order).
-struct OracleLoad {
-  std::vector<std::shared_ptr<Observation>> observations;
-  std::shared_ptr<std::map<std::string, std::vector<std::string>>> submitted =
-      std::make_shared<std::map<std::string, std::vector<std::string>>>();
-  std::shared_ptr<std::map<std::string, std::vector<std::shared_ptr<Observation>>>>
-      write_order =
-          std::make_shared<std::map<std::string, std::vector<std::shared_ptr<Observation>>>>();
-};
-
-// Schedules `ops` random reads (weak/strong/ICG) and strong writes from the three
-// clients at random instants over three seconds. Writes are single-writer-per-key
-// (client c owns keys with index % kClients == c), so per-key program order has a crisp
-// oracle: the last value that key's writer submitted must be what every replica
-// converges to.
-OracleLoad ScheduleRandomLoad(SimWorld& world, CorrectableClient* const clients[], Rng& rng,
-                              int ops) {
-  OracleLoad load;
-  int write_counter = 0;
-  for (int i = 0; i < ops; ++i) {
-    const SimDuration at = static_cast<SimDuration>(rng.NextBounded(Seconds(3)));
-    const size_t client_index = static_cast<size_t>(rng.NextBounded(kClients));
-    const bool is_write = rng.NextBool(0.25);
-    const int flavor = static_cast<int>(rng.NextBounded(3));  // reads: weak/strong/icg
-    int key_index = static_cast<int>(rng.NextBounded(kKeys));
-    if (is_write) {
-      // Single writer per key: move to a key this client owns.
-      key_index = (key_index / kClients) * kClients + static_cast<int>(client_index);
-    }
-    const std::string key = OracleKey(key_index);
-
-    auto obs = std::make_shared<Observation>();
-    obs->is_write = is_write;
-    obs->client = client_index;
-    obs->key = key;
-    load.observations.push_back(obs);
-
-    if (is_write) {
-      const std::string value =
-          "c" + std::to_string(client_index) + "-" + std::to_string(write_counter++);
-      obs->written_value = value;
-      obs->weakest = obs->strongest = ConsistencyLevel::kStrong;
-      world.loop().Schedule(at, [client = clients[client_index], key, value, obs,
-                                 submitted = load.submitted,
-                                 write_order = load.write_order]() {
-        (*submitted)[key].push_back(value);
-        (*write_order)[key].push_back(obs);
-        Observe(client->InvokeStrong(Operation::Put(key, value)), obs);
-      });
-      continue;
-    }
-
-    CorrectableClient* client = clients[client_index];
-    if (flavor == 0) {
-      obs->weakest = obs->strongest = ConsistencyLevel::kWeak;
-      world.loop().Schedule(at, [client, key, obs]() {
-        Observe(client->InvokeWeak(Operation::Get(key)), obs);
-      });
-    } else if (flavor == 1) {
-      obs->weakest = obs->strongest = ConsistencyLevel::kStrong;
-      world.loop().Schedule(at, [client, key, obs]() {
-        Observe(client->InvokeStrong(Operation::Get(key)), obs);
-      });
-    } else {
-      obs->weakest = ConsistencyLevel::kWeak;
-      obs->strongest = ConsistencyLevel::kStrong;
-      world.loop().Schedule(at, [client, key, obs]() {
-        Observe(client->Invoke(Operation::Get(key)), obs);
-      });
-    }
-  }
-  return load;
-}
-
-// The post-run oracles shared by the sharded trials. Per-invocation contract first, then
-// write program order per key two ways — through acknowledgements (versions a key's
-// writes were acked under never regress in submission order; a batched flush acks its
-// members under one version, so equal is fine, regression is not) and through replica
-// state (after quiescence every replica holds the key's last submitted value) — and
-// finally reads observing only preloaded or submitted values.
-void CheckLoadOracles(const OracleLoad& load, const KvCluster& cluster,
-                      const std::string& context) {
-  for (const auto& obs : load.observations) {
-    CheckObservation(*obs, context);
-    EXPECT_EQ(obs->errors, 0) << "no failure injected, so nothing may fail (key="
-                              << obs->key << ")";
-  }
-  for (const auto& [key, writes] : *load.write_order) {
-    Version previous{};
-    for (size_t i = 0; i < writes.size(); ++i) {
-      if (writes[i]->finals != 1) {
-        continue;
-      }
-      EXPECT_FALSE(writes[i]->ack_version < previous)
-          << "ack versions regressed for " << key << " at write " << i;
-      previous = writes[i]->ack_version;
-    }
-  }
-  for (const auto& [key, values] : *load.submitted) {
-    for (const auto& replica : cluster.replicas()) {
-      const auto stored = replica->LocalGet(key);
-      ASSERT_TRUE(stored.has_value()) << key;
-      EXPECT_EQ(stored->value, values.back())
-          << "replica diverged from program order for " << key << " (" << context << ")";
-    }
-  }
-  for (const auto& obs : load.observations) {
-    if (!obs->is_write && obs->finals == 1 && obs->final_value.found) {
-      const auto& history = (*load.submitted)[obs->key];
-      const bool known =
-          obs->final_value.value == "init" ||
-          std::find(history.begin(), history.end(), obs->final_value.value) != history.end();
-      EXPECT_TRUE(known) << "read of " << obs->key << " returned a value never written: "
-                         << obs->final_value.value;
-    }
-  }
+// The post-run oracles shared by the sharded trials: every invocation closed, per-key
+// write program order through acknowledgements (a batched flush acks its members under
+// one version, so equal is fine, regression is not) and through replica state, and no
+// acked write lost.
+void ExpectCleanHistory(ContractChecker& checker, const KvCluster& cluster,
+                        const std::string& context) {
+  checker.Finish();
+  checker.CheckProgramOrder(cluster);
+  EXPECT_EQ(checker.violations().total(), 0) << context << ": " << checker.Report();
 }
 
 // One randomized trial over the sharded Cassandra deployment (3 routed clients, one per
@@ -241,18 +60,17 @@ void RunShardedOracleTrial(SimDuration window, uint64_t seed) {
                                          batch);
   auto& frk = AddShardedCassandraClient(world, stack, binding, Region::kFrankfurt, batch);
   auto& vrg = AddShardedCassandraClient(world, stack, binding, Region::kVirginia, batch);
-  CorrectableClient* clients[kClients] = {stack.client(), frk.client.get(),
-                                          vrg.client.get()};
+  const std::vector<CorrectableClient*> clients = {stack.client(), frk.client.get(),
+                                                   vrg.client.get()};
 
-  for (int i = 0; i < kKeys; ++i) {
-    stack.cluster->Preload(OracleKey(i), "init");
-  }
-
+  ContractChecker checker(SanctionedError::kNone, &world.loop());
+  RandomKvLoad load(clients, &checker, OracleLoadSpec());
+  load.Preload(*stack.cluster);
   Rng rng(seed * 31 + static_cast<uint64_t>(window));
-  const OracleLoad load = ScheduleRandomLoad(world, clients, rng, /*ops=*/400);
+  load.Schedule(rng);
   world.loop().Run();
 
-  CheckLoadOracles(load, *stack.cluster, "sharded");
+  ExpectCleanHistory(checker, *stack.cluster, "sharded");
 
   // Counter sanity: window 0 must never open a cross-tick batch; a wide window under
   // this op rate must.
@@ -279,9 +97,8 @@ TEST(BatchOracle, ShardedCassandraAcrossWindows) {
 // A 5-replica cluster starts with 3 coordinators; scheduled churn events promote spare
 // replicas into the ring and demote serving coordinators out of it while the 3-client
 // random load is in flight. Whatever the rebalancer re-routes, retires, or re-plans,
-// every Correctable must still satisfy the full contract — weakest-first monotone
-// delivery, exactly one terminal view, per-key write program order into replica state —
-// and no invocation may be lost to a coordinator that left with work pending.
+// every Correctable must still satisfy the full contract and per-key write program
+// order, and no invocation may be lost to a coordinator that left with work pending.
 void RunChurnOracleTrial(SimDuration window, uint64_t seed) {
   SCOPED_TRACE("churn window_us=" + std::to_string(window) + " seed=" + std::to_string(seed));
   SimWorld world(seed);
@@ -298,15 +115,13 @@ void RunChurnOracleTrial(SimDuration window, uint64_t seed) {
                                          batch);
   auto& frk = AddShardedCassandraClient(world, stack, binding, Region::kFrankfurt, batch);
   auto& vrg = AddShardedCassandraClient(world, stack, binding, Region::kVirginia, batch);
-  CorrectableClient* clients[kClients] = {stack.client(), frk.client.get(),
-                                          vrg.client.get()};
 
-  for (int i = 0; i < kKeys; ++i) {
-    stack.cluster->Preload(OracleKey(i), "init");
-  }
-
+  ContractChecker checker(SanctionedError::kNone, &world.loop());
+  RandomKvLoad load({stack.client(), frk.client.get(), vrg.client.get()}, &checker,
+                    OracleLoadSpec());
+  load.Preload(*stack.cluster);
   Rng rng(seed * 131 + static_cast<uint64_t>(window));
-  const OracleLoad load = ScheduleRandomLoad(world, clients, rng, /*ops=*/400);
+  load.Schedule(rng);
 
   // The churn schedule: 8 membership events spread through the load window, decided at
   // fire time from a forked deterministic stream. Adds promote a random spare replica;
@@ -354,12 +169,10 @@ void RunChurnOracleTrial(SimDuration window, uint64_t seed) {
     EXPECT_GT((*epochs_seen)[i], (*epochs_seen)[i - 1]) << "ring epochs must increase";
   }
 
-  // The full static-membership contract must hold verbatim under churn: per-invocation
-  // monotone weakest-first delivery and exactly-one-terminal, per-key write program
-  // order through acked versions AND replica convergence (churn may re-route a key's
-  // writes to a new coordinator mid-stream), and reads observing only known values — a
-  // rebalance must never surface a torn batch slice or a value from the wrong key.
-  CheckLoadOracles(load, *stack.cluster, "churn");
+  // The full static-membership contract must hold verbatim under churn (churn may
+  // re-route a key's writes to a new coordinator mid-stream): a rebalance must never
+  // surface a torn batch slice or a value from the wrong key.
+  ExpectCleanHistory(checker, *stack.cluster, "churn");
 }
 
 TEST(BatchOracle, MembershipChurnAcrossWindows) {
@@ -379,7 +192,7 @@ TEST(BatchOracle, MembershipChurnAcrossWindows) {
 //   * every invocation still closes exactly once — errors (timeout / retryable
 //     OVERLOADED sheds during the failover window) are legal, duplicated or lost
 //     terminals are not, and views never regress or trail a terminal;
-//   * no acked write is lost: every replica converges to a value whose version is at
+//   * no acked write is lost: every replica converges to one value whose version is at
 //     least the last acked version of its key, and equal versions carry equal values
 //     (replay under LWW must not duplicate an acked write under a fresh stamp);
 //   * reads only ever observe written values — a torn WAL tail must never surface;
@@ -394,26 +207,6 @@ TEST(BatchOracle, MembershipChurnAcrossWindows) {
 bool WalFaultsEnabled() {
   const char* env = std::getenv("ICG_WAL_FAULTS");
   return env != nullptr && *env == '1';
-}
-
-// Per-invocation contract when failures ARE injected: errors allowed, everything else
-// identical to CheckObservation.
-void CheckCrashObservation(const Observation& obs) {
-  SCOPED_TRACE("key=" + obs.key + " client=" + std::to_string(obs.client));
-  EXPECT_EQ(obs.finals + obs.errors, 1) << "invocation must close exactly once";
-  EXPECT_FALSE(obs.view_after_terminal) << "views delivered after the terminal view";
-  for (size_t i = 1; i < obs.delivered.size(); ++i) {
-    EXPECT_TRUE(IsStrongerOrEqual(obs.delivered[i], obs.delivered[i - 1]))
-        << "view level regressed at position " << i;
-  }
-  if (obs.finals == 1) {
-    ASSERT_FALSE(obs.delivered.empty());
-    EXPECT_EQ(obs.delivered.back(), obs.strongest);
-    for (const ConsistencyLevel level : obs.delivered) {
-      EXPECT_TRUE(IsStrongerOrEqual(obs.strongest, level));
-      EXPECT_TRUE(IsStrongerOrEqual(level, obs.weakest));
-    }
-  }
 }
 
 std::string RunCrashOracleTrial(SimDuration window, uint64_t seed) {
@@ -441,8 +234,8 @@ std::string RunCrashOracleTrial(SimDuration window, uint64_t seed) {
                                          batch);
   auto& frk = AddShardedCassandraClient(world, stack, binding, Region::kFrankfurt, batch);
   auto& vrg = AddShardedCassandraClient(world, stack, binding, Region::kVirginia, batch);
-  CorrectableClient* clients[kClients] = {stack.client(), frk.client.get(),
-                                          vrg.client.get()};
+  const std::vector<CorrectableClient*> clients = {stack.client(), frk.client.get(),
+                                                   vrg.client.get()};
   for (CorrectableClient* client : clients) {
     // A request parked on a corpse has no coordinator-side timeout to save it: the
     // client-side invocation timeout is what closes those terminals.
@@ -450,13 +243,12 @@ std::string RunCrashOracleTrial(SimDuration window, uint64_t seed) {
   }
   stack.SetShardQueueLimit(32);  // failover-window backpressure: shed, don't queue
 
-  for (int i = 0; i < kKeys; ++i) {
-    stack.cluster->Preload(OracleKey(i), "init");
-  }
+  ContractChecker checker(SanctionedError::kAny, &world.loop());
+  RandomKvLoad load(clients, &checker, OracleLoadSpec());
+  load.Preload(*stack.cluster);
   stack.EnableFailureDetection();  // 50 ms heartbeat, 3 missed probes => failover
-
   Rng rng(seed * 173 + static_cast<uint64_t>(window));
-  const OracleLoad load = ScheduleRandomLoad(world, clients, rng, /*ops=*/400);
+  load.Schedule(rng);
 
   const uint64_t epoch_before = stack.ring_epoch();
   const NodeId victim =
@@ -504,79 +296,13 @@ std::string RunCrashOracleTrial(SimDuration window, uint64_t seed) {
   EXPECT_FALSE(recovered->crashed());
   EXPECT_TRUE(recovered->last_recovery().bootstrap_complete);
 
-  // Per-invocation contract (errors legal in the failover window, nothing else is).
-  for (const auto& obs : load.observations) {
-    CheckCrashObservation(*obs);
-  }
+  // Errors are legal in the failover window; everything else in the contract is not.
+  ExpectCleanHistory(checker, *stack.cluster, "crash");
 
-  // Zero acked loss, zero duplication: per key, find the LAST acked write in
-  // submission order; every replica must converge to one common value whose version is
-  // >= that ack — and if equal, carrying exactly the acked value.
-  for (const auto& [key, writes] : *load.write_order) {
-    const Observation* last_acked = nullptr;
-    Version previous{};
-    for (const auto& write : writes) {
-      if (write->finals != 1) {
-        continue;
-      }
-      EXPECT_FALSE(write->ack_version < previous)
-          << "ack versions regressed for " << key;
-      previous = write->ack_version;
-      last_acked = write.get();
-    }
-    std::optional<VersionedValue> converged;
-    for (const auto& replica : stack.cluster->replicas()) {
-      const auto stored = replica->LocalGet(key);
-      EXPECT_TRUE(stored.has_value()) << key;
-      if (!stored.has_value()) {
-        continue;
-      }
-      if (!converged.has_value()) {
-        converged = stored;
-      } else {
-        EXPECT_EQ(*stored, *converged) << "replicas diverged for " << key;
-      }
-    }
-    if (last_acked != nullptr && converged.has_value()) {
-      EXPECT_FALSE(converged->version < last_acked->ack_version)
-          << "acked write lost for " << key;
-      if (converged->version == last_acked->ack_version) {
-        EXPECT_EQ(converged->value, last_acked->written_value)
-            << "acked version resurfaced with a different value for " << key;
-      }
-    }
-  }
-
-  // Reads observe only written values — a torn WAL tail or half-replayed record must
-  // never surface.
-  for (const auto& obs : load.observations) {
-    if (!obs->is_write && obs->finals == 1 && obs->final_value.found) {
-      const auto& history = (*load.submitted)[obs->key];
-      const bool known =
-          obs->final_value.value == "init" ||
-          std::find(history.begin(), history.end(), obs->final_value.value) !=
-              history.end();
-      EXPECT_TRUE(known) << "read of " << obs->key
-                         << " returned a value never written: " << obs->final_value.value;
-    }
-  }
-
-  // The determinism fingerprint: every delivered level, terminal kind, final value and
-  // version, in creation order.
-  std::string fingerprint;
-  for (const auto& obs : load.observations) {
-    fingerprint += obs->key + (obs->is_write ? "W" : "R") + "[";
-    for (const ConsistencyLevel level : obs->delivered) {
-      fingerprint += std::to_string(static_cast<int>(level));
-    }
-    fingerprint += "]e" + std::to_string(obs->errors) + "=" + obs->final_value.value +
-                   "#" + std::to_string(obs->final_value.version.timestamp) + "." +
-                   std::to_string(obs->final_value.version.writer) + ";";
-  }
-  fingerprint += "|epoch=" + std::to_string(stack.ring_epoch()) +
-                 "|replayed=" + std::to_string(recovered->last_recovery().wal_records_replayed) +
-                 "|merged=" + std::to_string(recovered->last_recovery().bootstrap_keys_merged);
-  return fingerprint;
+  return std::to_string(checker.fingerprint()) +
+         "|epoch=" + std::to_string(stack.ring_epoch()) +
+         "|replayed=" + std::to_string(recovered->last_recovery().wal_records_replayed) +
+         "|merged=" + std::to_string(recovered->last_recovery().bootstrap_keys_merged);
 }
 
 TEST(BatchOracle, CrashFailoverRecovery) {
@@ -600,63 +326,52 @@ void RunCausalOracleTrial(SimDuration window, uint64_t seed) {
   auto stack = MakeCausalStack(world, CausalConfig{}, Region::kIreland, Region::kIreland,
                                {Region::kIreland, Region::kFrankfurt, Region::kVirginia},
                                batch);
+  constexpr int kKeys = 39;
+  auto key_of = [](int index) { return "okey" + std::to_string(index); };
+  ContractChecker checker(SanctionedError::kNone, &world.loop());
   for (int i = 0; i < kKeys; ++i) {
-    stack.cluster->Preload(OracleKey(i), "init");
+    stack.cluster->Preload(key_of(i), "init");
+    checker.Allow(key_of(i), "init");
   }
 
   Rng rng(seed * 17 + static_cast<uint64_t>(window));
-  const int ops = 200;
-  std::vector<std::shared_ptr<Observation>> observations;
-  auto submitted = std::make_shared<std::map<std::string, std::vector<std::string>>>();
+  CorrectableClient* client = stack.client.get();
   int write_counter = 0;
-
-  for (int i = 0; i < ops; ++i) {
+  for (int i = 0; i < 200; ++i) {
     const SimDuration at = static_cast<SimDuration>(rng.NextBounded(Seconds(2)));
     const bool is_write = rng.NextBool(0.3);
-    const std::string key = OracleKey(static_cast<int>(rng.NextBounded(kKeys)));
-    auto obs = std::make_shared<Observation>();
-    obs->is_write = is_write;
-    obs->key = key;
-    observations.push_back(obs);
+    const std::string key = key_of(static_cast<int>(rng.NextBounded(kKeys)));
     if (is_write) {
       const std::string value = "w" + std::to_string(write_counter++);
-      obs->written_value = value;
-      obs->weakest = obs->strongest = ConsistencyLevel::kCausal;
-      world.loop().Schedule(at, [client = stack.client.get(), key, value, obs, submitted]() {
-        (*submitted)[key].push_back(value);
-        Observe(client->InvokeStrong(Operation::Put(key, value)), obs);
+      world.loop().Schedule(at, [&checker, client, key, value]() {
+        auto c = client->InvokeStrong(Operation::Put(key, value));
+        checker.Watch(checker.Open(*client, Request::kStrong, key, &value), c);
       });
     } else {
-      obs->weakest = ConsistencyLevel::kCache;
-      obs->strongest = ConsistencyLevel::kCausal;
-      world.loop().Schedule(at, [client = stack.client.get(), key, obs]() {
-        Observe(client->Invoke(Operation::Get(key)), obs);
+      world.loop().Schedule(at, [&checker, client, key]() {
+        auto c = client->Invoke(Operation::Get(key));
+        checker.Watch(checker.Open(*client, Request::kIcg, key), c);
       });
     }
   }
 
   world.loop().Run();
-  for (const auto& obs : observations) {
-    CheckObservation(*obs, "causal");
-    EXPECT_EQ(obs->errors, 0);
-  }
+  checker.Finish();
+  EXPECT_EQ(checker.violations().total(), 0) << "causal: " << checker.Report();
   // Program order into the coordinating replica (its peers converge causally).
-  for (const auto& [key, values] : *submitted) {
+  for (const auto& [key, value] : checker.LastAdmittedWrites()) {
     const auto stored = stack.cluster->ReplicaIn(Region::kIreland)->LocalGet(key);
     ASSERT_TRUE(stored.has_value());
-    EXPECT_EQ(*stored, values.back()) << key;
+    EXPECT_EQ(*stored, value) << key;
   }
   // Write-through coherence survived batching: the cache never holds a value that was
   // never written.
   for (int i = 0; i < kKeys; ++i) {
-    const auto cached = stack.cache->Get(OracleKey(i));
-    if (!cached.has_value() || !cached->found) {
-      continue;
+    const auto cached = stack.cache->Get(key_of(i));
+    if (cached.has_value() && cached->found) {
+      EXPECT_TRUE(checker.Allowed(key_of(i), cached->value))
+          << "cache holds unwritten value for " << key_of(i);
     }
-    const auto& history = (*submitted)[OracleKey(i)];
-    EXPECT_TRUE(cached->value == "init" ||
-                std::find(history.begin(), history.end(), cached->value) != history.end())
-        << "cache holds unwritten value for " << OracleKey(i);
   }
 }
 
