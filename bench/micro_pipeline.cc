@@ -2,6 +2,9 @@
 // single-level invoke and a two-level ICG invoke driven straight through the
 // InvocationPipeline against synchronous bindings (no store, no network — pure library
 // overhead, the price the paper argues must stay negligible against network latencies).
+// Two full-stack scenarios drive the same client API through MakeCassandraStack (binding,
+// KvClient, network, coordinator queue, quorum, WAL) until the world is idle again: a
+// CC2 ICG read to its final view and a strong (W=1) put of a 100 B value.
 //
 // Unlike micro_correctables (google-benchmark, optional dependency) this is a plain
 // executable so CI can always run it, and it counts global operator new calls so the
@@ -29,6 +32,7 @@
 #include "bench/bench_util.h"
 #include "src/correctables/client.h"
 #include "src/correctables/correctable.h"
+#include "src/harness/deployment.h"
 
 // --- global allocation counter ---------------------------------------------------------
 // Counts every operator-new entry (scalar and array). Relaxed atomics: the bench is
@@ -97,29 +101,30 @@ struct Measurement {
   double allocs_per_op = 0;
 };
 
-// Times `op` for ~0.3 s of steady state after a warmup that primes thread-local pools
-// and reusable buffer capacities (the steady state is what the claim is about: transient
-// first-touch allocations are pool fills, not per-op costs).
+// Times `op` in batches of `batch` until `min_time` has passed (at least one batch),
+// after `warmup` ops that prime thread-local pools and reusable buffer capacities (the
+// steady state is what the claim is about: transient first-touch allocations are pool
+// fills, not per-op costs).
 template <typename Fn>
-Measurement Measure(Fn&& op) {
+Measurement Measure(Fn&& op, int warmup = 20000, int batch = 50000,
+                    std::chrono::milliseconds min_time = std::chrono::milliseconds(300)) {
   using Clock = std::chrono::steady_clock;
-  for (int i = 0; i < 20000; ++i) {
+  for (int i = 0; i < warmup; ++i) {
     op();
   }
-  constexpr int kBatch = 50000;
   int64_t iters = 0;
   int64_t allocs = 0;
   const Clock::time_point start = Clock::now();
   Clock::time_point now = start;
-  while (now - start < std::chrono::milliseconds(300)) {
+  do {
     const int64_t allocs_before = g_allocations.load(std::memory_order_relaxed);
-    for (int i = 0; i < kBatch; ++i) {
+    for (int i = 0; i < batch; ++i) {
       op();
     }
     allocs += g_allocations.load(std::memory_order_relaxed) - allocs_before;
-    iters += kBatch;
+    iters += batch;
     now = Clock::now();
-  }
+  } while (now - start < min_time);
   const double elapsed_ns =
       static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(now - start).count());
   Measurement m;
@@ -149,7 +154,8 @@ int Run(int argc, char** argv) {
 
   bench::PrintHeader("micro_pipeline",
                      "Invocation hot path: ns/op and heap allocations/op through the "
-                     "InvocationPipeline (synchronous bindings, library overhead only).");
+                     "InvocationPipeline (synchronous bindings, library overhead only) and "
+                     "through a full Cassandra stack.");
 
   auto single_binding = std::make_shared<ImmediateBinding>();
   CorrectableClient single_client(single_binding);
@@ -179,6 +185,36 @@ int Run(int argc, char** argv) {
     }
   });
 
+  // Full stack: one client in IRL coordinated by FRK, CC2 (R=2) over FRK/IRL/VRG, no
+  // jitter. Each op runs the world until no event is pending, so read repair, late peer
+  // replies and write fan-out are all inside the op they belong to. One fixed batch of
+  // ops each: every write grows the three replicas' WALs, which are never truncated in
+  // the default configuration.
+  constexpr int kStackWarmup = 2000;
+  constexpr int kStackOps = 20000;
+  const std::string value(100, 'v');
+  SimWorld read_world(/*seed=*/1, /*jitter_sigma=*/0.0);
+  CassandraStack read_stack = MakeCassandraStack(read_world, KvConfig{}, CassandraBindingConfig{});
+  read_stack.cluster->Preload("user1", value);
+  const Measurement stack_read = Measure([&]() {
+    Correctable<OpResult> c = read_stack.client->Invoke(Operation::Get("user1"));
+    read_world.loop().Run();
+    if (!c.is_final() || c.views_delivered() != 2) {
+      std::abort();
+    }
+  }, kStackWarmup, kStackOps, std::chrono::milliseconds(0));
+
+  SimWorld write_world(/*seed=*/1, /*jitter_sigma=*/0.0);
+  CassandraStack write_stack =
+      MakeCassandraStack(write_world, KvConfig{}, CassandraBindingConfig{});
+  const Measurement stack_write = Measure([&]() {
+    Correctable<OpResult> c = write_stack.client->InvokeStrong(Operation::Put("user1", value));
+    write_world.loop().Run();
+    if (!c.is_final()) {
+      std::abort();
+    }
+  }, kStackWarmup, kStackOps, std::chrono::milliseconds(0));
+
   bench::Table table({"scenario", "ns/op", "allocs/op"});
   table.AddRow({"direct source close (baseline)", bench::Fmt(direct.ns_per_op),
                 bench::Fmt(direct.allocs_per_op, 3)});
@@ -186,6 +222,10 @@ int Run(int argc, char** argv) {
                 bench::Fmt(single.allocs_per_op, 3)});
   table.AddRow({"pipeline ICG invoke (2 views)", bench::Fmt(icg.ns_per_op),
                 bench::Fmt(icg.allocs_per_op, 3)});
+  table.AddRow({"full stack CC2 ICG read", bench::Fmt(stack_read.ns_per_op),
+                bench::Fmt(stack_read.allocs_per_op, 3)});
+  table.AddRow({"full stack strong write", bench::Fmt(stack_write.ns_per_op),
+                bench::Fmt(stack_write.allocs_per_op, 3)});
   table.Print();
 
   bench::JsonSummary summary("micro_pipeline");
@@ -195,6 +235,10 @@ int Run(int argc, char** argv) {
   summary.Add("single.allocs_per_op", single.allocs_per_op, 3);
   summary.Add("icg.ns_per_op", icg.ns_per_op, 1);
   summary.Add("icg.allocs_per_op", icg.allocs_per_op, 3);
+  summary.Add("stack.icg_read.ns_per_op", stack_read.ns_per_op, 1);
+  summary.Add("stack.icg_read.allocs_per_op", stack_read.allocs_per_op, 3);
+  summary.Add("stack.strong_write.ns_per_op", stack_write.ns_per_op, 1);
+  summary.Add("stack.strong_write.allocs_per_op", stack_write.allocs_per_op, 3);
   summary.Write();
 
   if (baseline_path != nullptr) {
@@ -220,7 +264,9 @@ int Run(int argc, char** argv) {
       const char* key;
       double current;
     } alloc_gates[] = {{"single.allocs_per_op", single.allocs_per_op},
-                       {"icg.allocs_per_op", icg.allocs_per_op}};
+                       {"icg.allocs_per_op", icg.allocs_per_op},
+                       {"stack.icg_read.allocs_per_op", stack_read.allocs_per_op},
+                       {"stack.strong_write.allocs_per_op", stack_write.allocs_per_op}};
     for (const auto& gate : alloc_gates) {
       double base = 0;
       if (!JsonNumber(text, gate.key, &base)) {
@@ -230,7 +276,7 @@ int Run(int argc, char** argv) {
       }
       const double limit = base + 0.01;
       const bool ok = gate.current <= limit;
-      std::printf("check %-21s current %8.3f  baseline %8.3f  limit %8.3f  %s\n",
+      std::printf("check %-32s current %8.3f  baseline %8.3f  limit %8.3f  %s\n",
                   gate.key, gate.current, base, limit, ok ? "OK" : "REGRESSED");
       if (!ok) {
         failures++;
@@ -261,7 +307,7 @@ int Run(int argc, char** argv) {
         }
         const double limit = base * 1.20;
         const bool ok = gate.current <= limit;
-        std::printf("check %-21s current %8.1f  baseline %8.1f  limit %8.1f  %s\n",
+        std::printf("check %-32s current %8.1f  baseline %8.1f  limit %8.1f  %s\n",
                     gate.key, gate.current, base, limit, ok ? "OK" : "REGRESSED");
         if (!ok) {
           failures++;

@@ -103,6 +103,15 @@ class InlineFunction<R(Args...), Capacity> {
     return ops_->invoke(const_cast<unsigned char*>(storage_), std::forward<Args>(args)...);
   }
 
+  // True when a callable of type F is stored inline: it fits the capacity and is
+  // nothrow-move-constructible. A by-copy capture of a `const std::string&` parameter
+  // yields a `const std::string` member, whose "move" is a throwing copy, so such a
+  // closure spills at any capacity; capture `key = std::string(key)` instead.
+  template <typename F>
+  static constexpr bool StoresInline() {
+    return FitsInline<std::decay_t<F>>();
+  }
+
  private:
   struct Ops {
     R (*invoke)(unsigned char*, Args&&...);

@@ -4,8 +4,6 @@
 #define ICG_COMMON_METRICS_H_
 
 #include <cstdint>
-#include <map>
-#include <string>
 
 #include "src/common/types.h"
 
@@ -71,29 +69,6 @@ class ThroughputMeter {
 
  private:
   int64_t ops_ = 0;
-};
-
-// Named counters for ad-hoc instrumentation (confirmations sent, read repairs, retries).
-// Not thread-safe by design: the whole simulation is single-threaded.
-class MetricRegistry {
- public:
-  Counter& GetCounter(const std::string& name) { return counters_[name]; }
-
-  int64_t Value(const std::string& name) const {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.value();
-  }
-
-  const std::map<std::string, Counter>& counters() const { return counters_; }
-
-  void Reset() {
-    for (auto& [name, counter] : counters_) {
-      counter.Reset();
-    }
-  }
-
- private:
-  std::map<std::string, Counter> counters_;
 };
 
 }  // namespace icg

@@ -17,7 +17,9 @@ bool StepDeclares(const LevelVec& declared, ConsistencyLevel level) {
 // binding's routing scope all match (different level sets need different view
 // sequences; different scopes mean different store endpoints, so sharing a round-trip
 // would send one waiter's read to the wrong coordinator). Builds into `out` so a
-// persistent scratch buffer absorbs the construction.
+// persistent scratch buffer absorbs the construction. Levels take one byte each, so a
+// short key under a short scope stays within the 15-byte SSO buffer of the copies the
+// open-batches map keeps.
 void BatchKeyInto(std::string& out, const Binding& binding, const Operation& op,
                   const LevelVec& levels) {
   out.clear();
@@ -26,8 +28,7 @@ void BatchKeyInto(std::string& out, const Binding& binding, const Operation& op,
   out += op.key;
   out.push_back('\0');
   for (const ConsistencyLevel level : levels) {
-    out += ConsistencyLevelName(level);
-    out.push_back(',');
+    out.push_back(static_cast<char>('0' + static_cast<int>(level)));
   }
 }
 
@@ -161,6 +162,7 @@ Correctable<OpResult> InvocationPipeline::Submit(Operation op, LevelVec levels) 
   batch->op = std::move(op);
   batch->level_set = LevelSet(std::move(levels));
   batch->coalescable = coalescable;
+  batch->tick = batch_tick_;
   batch->waiters.push_back(std::move(inv));
   if (coalescable) {
     batch->map_key = scratch_key_;  // short keys stay in SSO storage
@@ -242,7 +244,9 @@ void InvocationPipeline::OnEmission(const std::shared_ptr<Batch>& batch,
   // Record for same-tick late joiners. The final emission itself is never recorded:
   // setting `done` above just made joining impossible, so nobody could replay it — and
   // streaming tails (e.g. blockchain confirmations) stop accumulating the same way.
-  if (batch->coalescable && !batch->done) {
+  // Neither is an emission after the batch's own tick: the open-batches map only holds
+  // batches of the current tick, so no later joiner can find this one.
+  if (batch->coalescable && !batch->done && loop_->Now() == batch->tick) {
     batch->history.push_back(Batch::Emission{level, result, kind});
   }
   // Deliver to the waiters present when this response arrived; the last one is handed

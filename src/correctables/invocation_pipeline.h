@@ -106,6 +106,7 @@ class InvocationPipeline {
     Operation op;
     LevelSet level_set;
     bool coalescable = false;
+    SimTime tick = 0;            // submission tick of a coalescable batch
     bool done = false;           // strongest-level response delivered
     std::string map_key;         // open_batches_ entry while joinable
     SmallVec<std::shared_ptr<Invocation>, 2> waiters;

@@ -15,8 +15,9 @@ void KvClient::Read(const std::string& key, const ReadOptions& options, KvRespon
   KvReplica* coordinator = coordinator_;
   const NodeId self = id_;
   network_->Send(id_, coordinator_->id(), bytes,
-                 [coordinator, self, key, options, respond = std::move(respond)]() {
-                   coordinator->CoordinateRead(self, key, options, respond);
+                 [coordinator, self, key = std::string(key), options,
+                  respond = std::move(respond)]() mutable {
+                   coordinator->CoordinateRead(self, key, options, std::move(respond));
                  });
 }
 
@@ -31,7 +32,8 @@ void KvClient::MultiRead(std::vector<std::string> keys, const ReadOptions& optio
   network_->Send(id_, coordinator_->id(), bytes,
                  [coordinator, self, keys = std::move(keys), options,
                   respond = std::move(respond)]() mutable {
-                   coordinator->CoordinateMultiRead(self, std::move(keys), options, respond);
+                   coordinator->CoordinateMultiRead(self, std::move(keys), options,
+                                                    std::move(respond));
                  });
 }
 
@@ -42,9 +44,9 @@ void KvClient::Write(const std::string& key, std::string value, KvResponseFn res
   KvReplica* coordinator = coordinator_;
   const NodeId self = id_;
   network_->Send(id_, coordinator_->id(), bytes,
-                 [coordinator, self, key, value = std::move(value), timestamp,
+                 [coordinator, self, key = std::string(key), value = std::move(value), timestamp,
                   respond = std::move(respond)]() mutable {
-                   coordinator->CoordinateWrite(self, key, std::move(value), respond,
+                   coordinator->CoordinateWrite(self, key, std::move(value), std::move(respond),
                                                 timestamp);
                  });
 }
@@ -65,7 +67,7 @@ void KvClient::MultiWrite(std::vector<std::string> keys, std::vector<std::string
                  [coordinator, self, keys = std::move(keys), values = std::move(values),
                   timestamps = std::move(timestamps), respond = std::move(respond)]() mutable {
                    coordinator->CoordinateMultiWrite(self, std::move(keys), std::move(values),
-                                                     respond, std::move(timestamps));
+                                                     std::move(respond), std::move(timestamps));
                  });
 }
 

@@ -35,11 +35,11 @@ void KvReplica::SetPeers(std::vector<KvReplica*> peers) {
   });
 }
 
-OpResult KvReplica::ToOpResult(const std::optional<VersionedValue>& value) {
+OpResult KvReplica::ToOpResult(std::optional<VersionedValue> value) {
   OpResult result;
   if (value.has_value()) {
     result.found = true;
-    result.value = value->value;
+    result.value = std::move(value->value);
     result.version = value->version;
   }
   return result;
@@ -58,23 +58,23 @@ void KvReplica::CoordinateRead(NodeId client_id, const std::string& key,
   read.options = options;
   read.respond = std::move(respond);
 
-  metrics_.GetCounter("reads_coordinated").Increment();
+  counters_.reads_coordinated++;
   if (options.want_preliminary) {
-    metrics_.GetCounter("icg_reads").Increment();
+    counters_.icg_reads++;
   }
 
   // Fan out to peer replicas in parallel with the local read (only when a quorum > 1 is
   // required). Responses beyond the quorum feed read repair.
   const int needed = options.read_quorum;
   if (needed > 1) {
-    const size_t peer_count = std::min(peers_.size(), static_cast<size_t>(needed - 1) + 1);
-    for (size_t i = 0; i < peer_count && i < peers_.size(); ++i) {
-      KvReplica* peer = peers_[i];
+    const size_t peer_count = std::min(peers_.size(), static_cast<size_t>(needed));
+    for (size_t slot = 0; slot < peer_count; ++slot) {
+      KvReplica* peer = peers_[slot];
       read.peers_asked.push_back(peer->id());
       read.peer_results.emplace_back(std::nullopt);
-      const size_t slot = read.peer_results.size() - 1;
       const int64_t req_bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size());
-      network_->Send(id_, peer->id(), req_bytes, [this, peer, key, request_id, slot]() {
+      network_->Send(id_, peer->id(), req_bytes,
+                     [this, peer, key = std::string(key), request_id, slot]() {
         peer->HandlePeerRead(
             id_, key, request_id,
             [this, slot](uint64_t rid, std::optional<VersionedValue> value) {
@@ -115,11 +115,11 @@ void KvReplica::CoordinateRead(NodeId client_id, const std::string& key,
           return;
         }
         r2.preliminary_sent = true;
-        const auto result = r2.local;
         r2.preliminary_digest =
-            result.has_value() ? result->ContentDigest() : ValueDigest("", 0);
-        metrics_.GetCounter("preliminaries_sent").Increment();
-        SendReadResponse(r2, result, /*is_final=*/false, ResponseKind::kValue);
+            r2.local.has_value() ? r2.local->ContentDigest() : ValueDigest("", 0);
+        counters_.preliminaries_sent++;
+        // A copy: the local value still takes part in the quorum merge.
+        SendReadResponse(r2, r2.local, /*is_final=*/false, ResponseKind::kValue);
         MaybeFinishRead(request_id);
       });
     }
@@ -127,8 +127,7 @@ void KvReplica::CoordinateRead(NodeId client_id, const std::string& key,
   });
 
   // Quorum timeout: fail the request if peers never answer (crash/partition).
-  PendingRead& armed = pending_reads_[request_id];
-  armed.timeout_timer = loop_->Schedule(config_->read_timeout, [this, request_id]() {
+  read.timeout_timer = loop_->Schedule(config_->read_timeout, [this, request_id]() {
     auto it = pending_reads_.find(request_id);
     if (it == pending_reads_.end()) {
       return;
@@ -138,12 +137,10 @@ void KvReplica::CoordinateRead(NodeId client_id, const std::string& key,
       return;
     }
     r.done = true;
-    metrics_.GetCounter("read_timeouts").Increment();
-    const int64_t bytes = kResponseHeaderBytes;
-    auto respond_fn = r.respond;
-    network_->Send(id_, r.client_id, bytes, [respond_fn]() {
-      respond_fn(Status::Timeout("read quorum not reached"), /*is_final=*/true,
-                 ResponseKind::kValue);
+    counters_.read_timeouts++;
+    network_->Send(id_, r.client_id, kResponseHeaderBytes, [respond = std::move(r.respond)]() {
+      respond(Status::Timeout("read quorum not reached"), /*is_final=*/true,
+              ResponseKind::kValue);
     });
     pending_reads_.erase(it);
   });
@@ -172,7 +169,7 @@ void KvReplica::MaybeFinishRead(uint64_t request_id) {
 
 void KvReplica::FinishRead(PendingRead& read) {
   read.done = true;
-  const std::optional<VersionedValue> merged = MergedResult(read);
+  std::optional<VersionedValue>& merged = MergedResult(read);
 
   if (config_->read_repair && merged.has_value()) {
     IssueReadRepair(read, *merged);
@@ -185,7 +182,7 @@ void KvReplica::FinishRead(PendingRead& read) {
         merged.has_value() ? merged->ContentDigest() : ValueDigest("", 0);
     if (final_digest == *read.preliminary_digest) {
       kind = ResponseKind::kConfirmation;
-      metrics_.GetCounter("confirmations_sent").Increment();
+      counters_.confirmations_sent++;
     }
   }
   if (read.options.want_preliminary && kind == ResponseKind::kValue &&
@@ -193,41 +190,45 @@ void KvReplica::FinishRead(PendingRead& read) {
     const Digest final_digest =
         merged.has_value() ? merged->ContentDigest() : ValueDigest("", 0);
     if (final_digest != *read.preliminary_digest) {
-      metrics_.GetCounter("divergent_finals").Increment();
+      counters_.divergent_finals++;
     } else {
-      metrics_.GetCounter("matching_finals").Increment();
+      counters_.matching_finals++;
     }
   }
-  SendReadResponse(read, kind == ResponseKind::kConfirmation ? std::nullopt : merged,
-                   /*is_final=*/true, kind);
+  if (kind == ResponseKind::kConfirmation) {
+    SendReadResponse(read, std::nullopt, /*is_final=*/true, kind);
+  } else {
+    SendReadResponse(read, std::move(merged), /*is_final=*/true, kind);
+  }
 }
 
-void KvReplica::SendReadResponse(const PendingRead& read,
-                                 const std::optional<VersionedValue>& value, bool is_final,
-                                 ResponseKind kind) {
+void KvReplica::SendReadResponse(PendingRead& read, std::optional<VersionedValue> value,
+                                 bool is_final, ResponseKind kind) {
   int64_t bytes = 0;
   OpResult result;
   if (kind == ResponseKind::kConfirmation) {
     bytes = kConfirmationBytes;
     // The client library substitutes the preliminary value; the wire carries no payload.
   } else {
-    result = ToOpResult(value);
+    result = ToOpResult(std::move(value));
     bytes = result.WireBytes();
   }
-  auto respond_fn = read.respond;
-  network_->Send(id_, read.client_id, bytes, [respond_fn, result, is_final, kind]() {
-    respond_fn(result, is_final, kind);
-  });
+  network_->Send(id_, read.client_id, bytes,
+                 [respond = is_final ? std::move(read.respond) : read.respond,
+                  result = std::move(result), is_final, kind]() mutable {
+                   respond(std::move(result), is_final, kind);
+                 });
 }
 
-std::optional<VersionedValue> KvReplica::MergedResult(const PendingRead& read) const {
-  std::optional<VersionedValue> best = read.local;
-  for (const auto& peer_value : read.peer_results) {
-    if (peer_value.has_value() && (!best.has_value() || best->OlderThan(peer_value->version))) {
-      best = peer_value;
+std::optional<VersionedValue>& KvReplica::MergedResult(PendingRead& read) {
+  std::optional<VersionedValue>* best = &read.local;
+  for (auto& peer_value : read.peer_results) {
+    if (peer_value.has_value() &&
+        (!best->has_value() || (*best)->OlderThan(peer_value->version))) {
+      best = &peer_value;
     }
   }
-  return best;
+  return *best;
 }
 
 void KvReplica::IssueReadRepair(const PendingRead& read, const VersionedValue& freshest) {
@@ -235,7 +236,7 @@ void KvReplica::IssueReadRepair(const PendingRead& read, const VersionedValue& f
   // asynchronously over the network.
   if (!read.local.has_value() || read.local->OlderThan(freshest.version)) {
     if (ApplyLww(read.key, freshest, /*log=*/true)) {
-      metrics_.GetCounter("read_repairs").Increment();
+      counters_.read_repairs++;
     }
   }
   for (size_t i = 0; i < read.peer_results.size(); ++i) {
@@ -257,9 +258,9 @@ void KvReplica::IssueReadRepair(const PendingRead& read, const VersionedValue& f
     }
     const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(read.key.size()) +
                           static_cast<int64_t>(freshest.value.size());
-    metrics_.GetCounter("read_repairs").Increment();
-    network_->Send(id_, peer->id(), bytes, [peer, key = read.key, freshest]() {
-      peer->HandleReplicate(key, freshest);
+    counters_.read_repairs++;
+    network_->Send(id_, peer->id(), bytes, [peer, key = read.key, value = freshest]() mutable {
+      peer->HandleReplicate(key, std::move(value));
     });
   }
 }
@@ -316,7 +317,7 @@ void KvReplica::CoordinateMultiRead(NodeId client_id, std::vector<std::string> k
   read.respond = std::move(respond);
   read.local.assign(read.keys.size(), std::nullopt);
 
-  metrics_.GetCounter("multireads_coordinated").Increment();
+  counters_.multireads_coordinated++;
   const auto batch_extra =
       config_->multiread_per_key_service * static_cast<SimDuration>(read.keys.size() - 1);
 
@@ -334,9 +335,9 @@ void KvReplica::CoordinateMultiRead(NodeId client_id, std::vector<std::string> k
         req_bytes += static_cast<int64_t>(key.size()) + 2;
       }
       network_->Send(id_, peer->id(), req_bytes,
-                     [this, peer, request_keys = read.keys, request_id, slot]() {
+                     [this, peer, request_keys = read.keys, request_id, slot]() mutable {
                        peer->HandlePeerMultiRead(
-                           id_, request_keys, request_id,
+                           id_, std::move(request_keys), request_id,
                            [this, slot](uint64_t rid,
                                         std::vector<std::optional<VersionedValue>> values) {
                              auto it = pending_multi_reads_.find(rid);
@@ -378,7 +379,7 @@ void KvReplica::CoordinateMultiRead(NodeId client_id, std::vector<std::string> k
         }
         r2.preliminary_sent = true;
         r2.preliminary_digest = CombinedDigest(r2.local);
-        metrics_.GetCounter("preliminaries_sent").Increment();
+        counters_.preliminaries_sent++;
         SendMultiReadResponse(r2, r2.local, /*is_final=*/false, ResponseKind::kValue);
         MaybeFinishMultiRead(request_id);
       });
@@ -386,8 +387,7 @@ void KvReplica::CoordinateMultiRead(NodeId client_id, std::vector<std::string> k
     MaybeFinishMultiRead(request_id);
   });
 
-  PendingMultiRead& armed = pending_multi_reads_[request_id];
-  armed.timeout_timer = loop_->Schedule(config_->read_timeout, [this, request_id]() {
+  read.timeout_timer = loop_->Schedule(config_->read_timeout, [this, request_id]() {
     auto it = pending_multi_reads_.find(request_id);
     if (it == pending_multi_reads_.end()) {
       return;
@@ -397,11 +397,10 @@ void KvReplica::CoordinateMultiRead(NodeId client_id, std::vector<std::string> k
       return;
     }
     r.done = true;
-    metrics_.GetCounter("read_timeouts").Increment();
-    auto respond_fn = r.respond;
-    network_->Send(id_, r.client_id, kResponseHeaderBytes, [respond_fn]() {
-      respond_fn(Status::Timeout("multiread quorum not reached"), /*is_final=*/true,
-                 ResponseKind::kValue);
+    counters_.read_timeouts++;
+    network_->Send(id_, r.client_id, kResponseHeaderBytes, [respond = std::move(r.respond)]() {
+      respond(Status::Timeout("multiread quorum not reached"), /*is_final=*/true,
+              ResponseKind::kValue);
     });
     pending_multi_reads_.erase(it);
   });
@@ -424,18 +423,18 @@ void KvReplica::MaybeFinishMultiRead(uint64_t request_id) {
   pending_multi_reads_.erase(request_id);
 }
 
-std::vector<std::optional<VersionedValue>> KvReplica::MergedMultiResult(
-    const PendingMultiRead& read) const {
-  std::vector<std::optional<VersionedValue>> merged = read.local;
+const std::vector<std::optional<VersionedValue>>& KvReplica::MergeMultiResult(
+    PendingMultiRead& read) {
+  std::vector<std::optional<VersionedValue>>& merged = read.local;
   for (size_t p = 0; p < read.peer_results.size(); ++p) {
     if (!read.peer_answered[p]) {
       continue;
     }
     for (size_t i = 0; i < merged.size() && i < read.peer_results[p].size(); ++i) {
-      const auto& candidate = read.peer_results[p][i];
+      auto& candidate = read.peer_results[p][i];
       if (candidate.has_value() &&
           (!merged[i].has_value() || merged[i]->OlderThan(candidate->version))) {
-        merged[i] = candidate;
+        merged[i] = std::move(candidate);
       }
     }
   }
@@ -444,7 +443,7 @@ std::vector<std::optional<VersionedValue>> KvReplica::MergedMultiResult(
 
 void KvReplica::FinishMultiRead(PendingMultiRead& read) {
   read.done = true;
-  const auto merged = MergedMultiResult(read);
+  const auto& merged = MergeMultiResult(read);
 
   // Per-key read repair: bring stale copies (local and peers) up to the merged state.
   if (config_->read_repair) {
@@ -453,7 +452,7 @@ void KvReplica::FinishMultiRead(PendingMultiRead& read) {
         continue;
       }
       if (ApplyLww(read.keys[i], *merged[i], /*log=*/true)) {
-        metrics_.GetCounter("read_repairs").Increment();
+        counters_.read_repairs++;
       }
     }
   }
@@ -464,14 +463,14 @@ void KvReplica::FinishMultiRead(PendingMultiRead& read) {
     const bool matches = final_digest == *read.preliminary_digest;
     if (read.options.confirmations && matches) {
       kind = ResponseKind::kConfirmation;
-      metrics_.GetCounter("confirmations_sent").Increment();
+      counters_.confirmations_sent++;
     }
-    metrics_.GetCounter(matches ? "matching_finals" : "divergent_finals").Increment();
+    (matches ? counters_.matching_finals : counters_.divergent_finals)++;
   }
   SendMultiReadResponse(read, merged, /*is_final=*/true, kind);
 }
 
-void KvReplica::SendMultiReadResponse(const PendingMultiRead& read,
+void KvReplica::SendMultiReadResponse(PendingMultiRead& read,
                                       const std::vector<std::optional<VersionedValue>>& values,
                                       bool is_final, ResponseKind kind) {
   int64_t bytes = 0;
@@ -482,14 +481,15 @@ void KvReplica::SendMultiReadResponse(const PendingMultiRead& read,
     result = ToMultiOpResult(values);
     bytes = result.WireBytes() + 8 * static_cast<int64_t>(values.size());
   }
-  auto respond_fn = read.respond;
-  network_->Send(id_, read.client_id, bytes, [respond_fn, result, is_final, kind]() {
-    respond_fn(result, is_final, kind);
-  });
+  network_->Send(id_, read.client_id, bytes,
+                 [respond = is_final ? std::move(read.respond) : read.respond,
+                  result = std::move(result), is_final, kind]() mutable {
+                   respond(std::move(result), is_final, kind);
+                 });
 }
 
 void KvReplica::HandlePeerMultiRead(
-    NodeId requester, const std::vector<std::string>& keys, uint64_t request_id,
+    NodeId requester, std::vector<std::string> keys, uint64_t request_id,
     std::function<void(uint64_t, std::vector<std::optional<VersionedValue>>)> reply) {
   if (crashed_) {
     return;
@@ -497,7 +497,8 @@ void KvReplica::HandlePeerMultiRead(
   const auto batch_extra =
       config_->multiread_per_key_service * static_cast<SimDuration>(keys.size() - 1);
   service_.Submit(config_->peer_read_service + batch_extra,
-                  [this, requester, keys, request_id, reply = std::move(reply)]() {
+                  [this, requester, keys = std::move(keys), request_id,
+                   reply = std::move(reply)]() mutable {
                     std::vector<std::optional<VersionedValue>> values;
                     values.reserve(keys.size());
                     int64_t bytes = kResponseHeaderBytes;
@@ -507,9 +508,11 @@ void KvReplica::HandlePeerMultiRead(
                         bytes += static_cast<int64_t>(values.back()->value.size()) + 8;
                       }
                     }
-                    network_->Send(id_, requester, bytes, [reply, request_id, values]() {
-                      reply(request_id, values);
-                    });
+                    network_->Send(id_, requester, bytes,
+                                   [reply = std::move(reply), request_id,
+                                    values = std::move(values)]() mutable {
+                                     reply(request_id, std::move(values));
+                                   });
                   });
 }
 
@@ -518,9 +521,10 @@ void KvReplica::CoordinateWrite(NodeId client_id, const std::string& key, std::s
   if (crashed_) {
     return;
   }
-  metrics_.GetCounter("writes_coordinated").Increment();
-  service_.Submit(config_->write_service, [this, client_id, key, value = std::move(value),
-                                           timestamp, respond = std::move(respond)]() mutable {
+  counters_.writes_coordinated++;
+  service_.Submit(config_->write_service, [this, client_id, key = std::string(key),
+                                           value = std::move(value), timestamp,
+                                           respond = std::move(respond)]() mutable {
     // Coordinator-assigned LWW timestamp; write_seq_ keeps it strictly monotonic even for
     // same-microsecond writes, and the writer id breaks cross-coordinator ties. A client
     // stamp overrides both fields: the stamp orders the writer's stream and the client id
@@ -554,15 +558,16 @@ void KvReplica::CoordinateWrite(NodeId client_id, const std::string& key, std::s
       MaybeScheduleSnapshot();
     }
 
-    auto finish = [this, client_id, key, vv = std::move(vv), version, lsn,
-                   respond = std::move(respond)]() {
+    auto finish = [this, client_id, key = std::move(key), vv = std::move(vv), version, lsn,
+                   respond = std::move(respond)]() mutable {
       // W = 1: acknowledge after the local apply (+ fsync when configured).
       OpResult ack;
       ack.found = true;
       ack.version = version;
-      network_->Send(id_, client_id, kResponseHeaderBytes, [respond, ack]() {
-        respond(ack, /*is_final=*/true, ResponseKind::kValue);
-      });
+      network_->Send(id_, client_id, kResponseHeaderBytes,
+                     [respond = std::move(respond), ack = std::move(ack)]() mutable {
+                       respond(std::move(ack), /*is_final=*/true, ResponseKind::kValue);
+                     });
 
       // Asynchronous replication to the other replicas. The fan-out makes the record
       // cluster-visible: snapshots may cover it from here on.
@@ -570,8 +575,9 @@ void KvReplica::CoordinateWrite(NodeId client_id, const std::string& key, std::s
       for (KvReplica* peer : peers_) {
         const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size()) +
                               static_cast<int64_t>(vv.value.size());
-        network_->Send(id_, peer->id(), bytes,
-                       [peer, key, vv]() { peer->HandleReplicate(key, vv); });
+        network_->Send(id_, peer->id(), bytes, [peer, key, vv]() mutable {
+          peer->HandleReplicate(key, std::move(vv));
+        });
       }
     };
     if (fsync > 0) {
@@ -588,7 +594,7 @@ void KvReplica::CoordinateMultiWrite(NodeId client_id, std::vector<std::string> 
   if (crashed_) {
     return;
   }
-  metrics_.GetCounter("multi_writes_coordinated").Increment();
+  counters_.multi_writes_coordinated++;
   if (keys.empty() || keys.size() != values.size() ||
       (!timestamps.empty() && timestamps.size() != keys.size())) {
     network_->Send(id_, client_id, kResponseHeaderBytes, [respond = std::move(respond)]() {
@@ -638,21 +644,23 @@ void KvReplica::CoordinateMultiWrite(NodeId client_id, std::vector<std::string> 
     }
 
     auto finish = [this, client_id, keys = std::move(keys), applied = std::move(applied),
-                   ack = std::move(ack), cohort_lsn, respond = std::move(respond)]() {
+                   ack = std::move(ack), cohort_lsn, respond = std::move(respond)]() mutable {
       // The cohort's fan-out makes every record of the batch cluster-visible.
       replicated_lsn_ = std::max(replicated_lsn_, cohort_lsn);
       for (size_t i = 0; i < keys.size(); ++i) {
         for (KvReplica* peer : peers_) {
           const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(keys[i].size()) +
                                 static_cast<int64_t>(applied[i].value.size());
-          network_->Send(id_, peer->id(), bytes, [peer, key = keys[i], vv = applied[i]]() {
-            peer->HandleReplicate(key, vv);
-          });
+          network_->Send(id_, peer->id(), bytes,
+                         [peer, key = keys[i], vv = applied[i]]() mutable {
+                           peer->HandleReplicate(key, std::move(vv));
+                         });
         }
       }
-      network_->Send(id_, client_id, kResponseHeaderBytes, [respond, ack]() {
-        respond(ack, /*is_final=*/true, ResponseKind::kValue);
-      });
+      network_->Send(id_, client_id, kResponseHeaderBytes,
+                     [respond = std::move(respond), ack = std::move(ack)]() mutable {
+                       respond(std::move(ack), /*is_final=*/true, ResponseKind::kValue);
+                     });
     };
     if (fsync > 0) {
       service_.Submit(fsync, std::move(finish));
@@ -667,14 +675,16 @@ void KvReplica::HandlePeerRead(NodeId requester, const std::string& key, uint64_
   if (crashed_) {
     return;
   }
-  service_.Submit(config_->peer_read_service, [this, requester, key, request_id,
-                                               reply = std::move(reply)]() {
-    const auto value = LocalGet(key);
+  service_.Submit(config_->peer_read_service, [this, requester, key = std::string(key),
+                                               request_id, reply = std::move(reply)]() mutable {
+    std::optional<VersionedValue> value = LocalGet(key);
     const int64_t bytes =
         kResponseHeaderBytes +
         (value.has_value() ? static_cast<int64_t>(value->value.size()) : 0);
     network_->Send(id_, requester, bytes,
-                   [reply, request_id, value]() { reply(request_id, value); });
+                   [reply = std::move(reply), request_id, value = std::move(value)]() mutable {
+                     reply(request_id, std::move(value));
+                   });
   });
 }
 
@@ -682,9 +692,10 @@ void KvReplica::HandleReplicate(const std::string& key, VersionedValue incoming)
   if (crashed_) {
     return;
   }
-  service_.Submit(config_->replicate_service, [this, key, incoming = std::move(incoming)]() {
+  service_.Submit(config_->replicate_service,
+                  [this, key = std::string(key), incoming = std::move(incoming)]() {
     if (ApplyLww(key, incoming, /*log=*/true)) {
-      metrics_.GetCounter("replications_applied").Increment();
+      counters_.replications_applied++;
     }
   });
 }
@@ -717,7 +728,7 @@ void KvReplica::HandleBootstrap(
     for (const auto& [key, vv] : dump) {
       bytes += static_cast<int64_t>(key.size()) + static_cast<int64_t>(vv.value.size()) + 16;
     }
-    metrics_.GetCounter("bootstraps_served").Increment();
+    counters_.bootstraps_served++;
     network_->Send(id_, requester, bytes,
                    [deliver, dump = std::move(dump)]() { deliver(dump); });
   });
@@ -763,7 +774,7 @@ void KvReplica::MaybeScheduleSnapshot() {
     snapshot_->Take(storage_, replicated_lsn_);
     records_at_last_snapshot_ = wal_->appended_records();
     wal_->TruncateThrough(snapshot_->covered_lsn());
-    metrics_.GetCounter("snapshots_taken").Increment();
+    counters_.snapshots_taken++;
   });
 }
 
@@ -792,7 +803,7 @@ void KvReplica::Crash() {
   if (wal_ != nullptr) {
     wal_->Crash();  // the device survives; the unsynced tail does not
   }
-  metrics_.GetCounter("crashes").Increment();
+  counters_.crashes++;
 }
 
 void KvReplica::Recover() {
@@ -819,7 +830,7 @@ void KvReplica::Recover() {
       write_seq_ = std::max(write_seq_, static_cast<uint64_t>(vv.version.timestamp));
     }
   }
-  metrics_.GetCounter("recoveries").Increment();
+  counters_.recoveries++;
   // Anti-entropy push: a record can be durable (fsynced) yet unreplicated — the crash
   // landed between the fsync and the replication fan-out. Snapshots never cover such
   // records (they only reach replicated_lsn_), so the candidates are exactly the
@@ -836,7 +847,7 @@ void KvReplica::Recover() {
       if (inc != incarnation_ || crashed_) {
         return;
       }
-      metrics_.GetCounter("recovery_pushes").Increment();
+      counters_.recovery_pushes++;
       for (KvReplica* peer : peers_) {
         for (const std::string& key : keys) {
           const auto it = storage_.find(key);
@@ -875,7 +886,7 @@ void KvReplica::StartBootstrap(size_t attempt) {
   }
   KvReplica* peer = peers_[attempt % peers_.size()];
   const uint64_t inc = incarnation_;
-  metrics_.GetCounter("bootstrap_requests").Increment();
+  counters_.bootstrap_requests++;
   network_->Send(id_, peer->id(), kRequestHeaderBytes, [this, peer, inc]() {
     peer->HandleBootstrap(
         id_, [this, inc](std::vector<std::pair<std::string, VersionedValue>> dump) {
@@ -914,7 +925,7 @@ void KvReplica::StartBootstrap(size_t attempt) {
                   });
             } else {
               last_recovery_.bootstrap_complete = true;
-              metrics_.GetCounter("bootstraps_completed").Increment();
+              counters_.bootstraps_completed++;
             }
           });
         });
@@ -924,7 +935,7 @@ void KvReplica::StartBootstrap(size_t attempt) {
     if (inc != incarnation_ || !bootstrap_pending_) {
       return;
     }
-    metrics_.GetCounter("bootstrap_retries").Increment();
+    counters_.bootstrap_retries++;
     StartBootstrap(attempt + 1);
   });
 }

@@ -28,7 +28,8 @@
 #include <vector>
 
 #include "src/common/inline_function.h"
-#include "src/common/metrics.h"
+#include "src/common/pooled.h"
+#include "src/common/small_vec.h"
 #include "src/common/status.h"
 #include "src/correctables/binding.h"
 #include "src/correctables/operation.h"
@@ -99,9 +100,33 @@ class KvReplica {
   // before use.
   void SetPeers(std::vector<KvReplica*> peers);
 
+  // Event counts since construction (crashes do not reset them).
+  struct Counters {
+    int64_t reads_coordinated = 0;
+    int64_t icg_reads = 0;  // reads that asked for a preliminary
+    int64_t multireads_coordinated = 0;
+    int64_t writes_coordinated = 0;
+    int64_t multi_writes_coordinated = 0;
+    int64_t preliminaries_sent = 0;
+    int64_t confirmations_sent = 0;
+    int64_t matching_finals = 0;   // ICG finals equal to their preliminary
+    int64_t divergent_finals = 0;  // ICG finals that corrected their preliminary
+    int64_t read_timeouts = 0;
+    int64_t read_repairs = 0;
+    int64_t replications_applied = 0;
+    int64_t snapshots_taken = 0;
+    int64_t crashes = 0;
+    int64_t recoveries = 0;
+    int64_t recovery_pushes = 0;
+    int64_t bootstrap_requests = 0;
+    int64_t bootstrap_retries = 0;
+    int64_t bootstraps_served = 0;
+    int64_t bootstraps_completed = 0;
+  };
+
   NodeId id() const { return id_; }
   ServiceQueue& service_queue() { return service_; }
-  MetricRegistry& metrics() { return metrics_; }
+  const Counters& counters() const { return counters_; }
 
   // --- Crash & recovery ----------------------------------------------------------------
   // kill -9: wipes all volatile state (storage, pending reads, queued service work) and
@@ -161,7 +186,7 @@ class KvReplica {
   void HandlePeerRead(NodeId requester, const std::string& key, uint64_t request_id,
                       std::function<void(uint64_t, std::optional<VersionedValue>)> reply);
   void HandlePeerMultiRead(
-      NodeId requester, const std::vector<std::string>& keys, uint64_t request_id,
+      NodeId requester, std::vector<std::string> keys, uint64_t request_id,
       std::function<void(uint64_t, std::vector<std::optional<VersionedValue>>)> reply);
   void HandleReplicate(const std::string& key, VersionedValue incoming);
   // Failure-detector probe: answers with `probe_id` after a small service charge. A
@@ -185,8 +210,9 @@ class KvReplica {
     ReadOptions options;
     KvResponseFn respond;
     std::optional<VersionedValue> local;   // coordinator's own read, once served
-    std::vector<std::optional<VersionedValue>> peer_results;
-    std::vector<NodeId> peers_asked;
+    // One slot per peer asked, min(peers, R): inline for CC2 and CC3 on three replicas.
+    SmallVec<std::optional<VersionedValue>, 2> peer_results;
+    SmallVec<NodeId, 2> peers_asked;
     int responses = 0;  // local + peer responses received
     bool preliminary_sent = false;
     std::optional<Digest> preliminary_digest;
@@ -213,21 +239,26 @@ class KvReplica {
 
   void MaybeFinishRead(uint64_t request_id);
   void FinishRead(PendingRead& read);
-  void SendReadResponse(const PendingRead& read, const std::optional<VersionedValue>& value,
-                        bool is_final, ResponseKind kind);
-  // LWW merge of all responses gathered so far.
-  std::optional<VersionedValue> MergedResult(const PendingRead& read) const;
+  // The final response takes `read.respond` (the read is erased right after); the
+  // preliminary sends a copy.
+  void SendReadResponse(PendingRead& read, std::optional<VersionedValue> value, bool is_final,
+                        ResponseKind kind);
+  // LWW merge of all responses gathered so far: the winning slot, so the final view can
+  // move its value out.
+  static std::optional<VersionedValue>& MergedResult(PendingRead& read);
   void IssueReadRepair(const PendingRead& read, const VersionedValue& freshest);
 
   void MaybeFinishMultiRead(uint64_t request_id);
   void FinishMultiRead(PendingMultiRead& read);
-  std::vector<std::optional<VersionedValue>> MergedMultiResult(
-      const PendingMultiRead& read) const;
-  void SendMultiReadResponse(const PendingMultiRead& read,
+  // LWW-merges the peer results into `read.local` (the read is about to finish) and
+  // returns it.
+  static const std::vector<std::optional<VersionedValue>>& MergeMultiResult(
+      PendingMultiRead& read);
+  void SendMultiReadResponse(PendingMultiRead& read,
                              const std::vector<std::optional<VersionedValue>>& values,
                              bool is_final, ResponseKind kind);
 
-  static OpResult ToOpResult(const std::optional<VersionedValue>& value);
+  static OpResult ToOpResult(std::optional<VersionedValue> value);
   static OpResult ToMultiOpResult(const std::vector<std::optional<VersionedValue>>& values);
   static Digest CombinedDigest(const std::vector<std::optional<VersionedValue>>& values);
 
@@ -246,12 +277,17 @@ class KvReplica {
   NodeId id_;
   const KvConfig* config_;
   ServiceQueue service_;
-  MetricRegistry metrics_;
+  Counters counters_;
+
+  // In-flight requests by id: one node insert and erase per read, recycled by the pool.
+  template <typename V>
+  using PendingMap = std::map<uint64_t, V, std::less<uint64_t>,
+                              PoolAllocator<std::pair<const uint64_t, V>>>;
 
   std::vector<KvReplica*> peers_;  // other replicas, nearest first
   std::map<std::string, VersionedValue> storage_;
-  std::map<uint64_t, PendingRead> pending_reads_;
-  std::map<uint64_t, PendingMultiRead> pending_multi_reads_;
+  PendingMap<PendingRead> pending_reads_;
+  PendingMap<PendingMultiRead> pending_multi_reads_;
   uint64_t next_request_id_ = 1;
   uint64_t write_seq_ = 0;  // disambiguates same-microsecond writes from this coordinator
 

@@ -33,9 +33,12 @@ using TimerId = uint64_t;
 
 class EventLoop {
  public:
-  // Network-delivery closures capture a nested task plus accounting state; 48 inline
-  // bytes covers the fleet of common captures without spilling.
-  using Task = InlineFunction<void(), 48>;
+  // Sized to the largest per-op message closure: a response carrying a 112-byte
+  // KvResponseFn or ZabResponseFn plus a 128-byte OpResult. Client requests (key, value,
+  // options and the response function) and ServiceQueue jobs (the closure plus 16 bytes)
+  // stay below it. Larger closures, or ones that are not nothrow-movable (a `const`
+  // std::string member, see InlineFunction::StoresInline), spill to the heap.
+  using Task = InlineFunction<void(), 256>;
 
   EventLoop() = default;
   EventLoop(const EventLoop&) = delete;

@@ -2,24 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
 
 namespace icg {
 
-void ServiceQueue::Submit(SimDuration service_time, EventLoop::Task done) {
+SimTime ServiceQueue::Reserve(SimDuration service_time) {
   assert(service_time >= 0);
   const SimTime start = std::max(loop_->Now(), busy_until_);
-  const SimTime finish = start + service_time;
-  busy_until_ = finish;
+  busy_until_ = start + service_time;
   submitted_ += 1;
+  in_flight_ += 1;
   total_busy_time_ += service_time;
-  loop_->ScheduleAt(finish, [this, generation = generation_, done = std::move(done)]() {
-    if (generation != generation_) {
-      return;  // the server was killed (CancelPending) while this job was in flight
-    }
-    completed_ += 1;
-    done();
-  });
+  return busy_until_;
 }
 
 }  // namespace icg

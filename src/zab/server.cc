@@ -29,7 +29,7 @@ void ZabServer::SubmitWrite(NodeId client_id, ZabOp op, bool icg, ZabResponseFn 
   op.origin = id_;
   op.origin_request = request_id;
   pending_requests_[request_id] = PendingClientRequest{client_id, std::move(respond)};
-  metrics_.GetCounter("writes_received").Increment();
+  counters_.writes_received++;
 
   if (icg) {
     // CZK fast path: simulate on local state, leak the preliminary before coordination.
@@ -38,39 +38,43 @@ void ZabServer::SubmitWrite(NodeId client_id, ZabOp op, bool icg, ZabResponseFn 
       if (it == pending_requests_.end()) {
         return;
       }
-      const OpResult preliminary = SimulateLocally(op);
-      metrics_.GetCounter("preliminaries_sent").Increment();
-      auto respond_fn = it->second.respond;
-      network_->Send(id_, client_id, preliminary.WireBytes(), [respond_fn, preliminary]() {
-        respond_fn(preliminary, /*is_final=*/false, ResponseKind::kValue);
-      });
+      OpResult preliminary = SimulateLocally(op);
+      counters_.preliminaries_sent++;
+      const int64_t bytes = preliminary.WireBytes();
+      network_->Send(id_, client_id, bytes,
+                     [respond = it->second.respond, preliminary = std::move(preliminary)]() mutable {
+                       respond(std::move(preliminary), /*is_final=*/false, ResponseKind::kValue);
+                     });
     });
   }
 
   if (is_leader()) {
-    service_.Submit(config_->leader_propose_service, [this, op]() { LeaderPropose(op); });
+    service_.Submit(config_->leader_propose_service,
+                    [this, op = std::move(op)]() mutable { LeaderPropose(std::move(op)); });
   } else {
     ZabServer* leader = leader_;
-    network_->Send(id_, leader->id(), op.WireBytes(),
-                   [leader, op]() { leader->HandleForward(op); });
+    const int64_t bytes = op.WireBytes();
+    network_->Send(id_, leader->id(), bytes, [leader, op = std::move(op)]() mutable {
+      leader->HandleForward(std::move(op));
+    });
   }
 }
 
 void ZabServer::HandleForward(ZabOp op) {
   assert(is_leader());
-  service_.Submit(config_->leader_propose_service, [this, op = std::move(op)]() {
-    LeaderPropose(op);
+  service_.Submit(config_->leader_propose_service, [this, op = std::move(op)]() mutable {
+    LeaderPropose(std::move(op));
   });
 }
 
 void ZabServer::LeaderPropose(ZabOp op) {
   const uint64_t zxid = next_zxid_++;
-  proposals_[zxid] = PendingProposal{op, /*acks=*/1, /*quorum_reached=*/false};
-  metrics_.GetCounter("proposals").Increment();
   for (ZabServer* peer : peers_) {
     network_->Send(id_, peer->id(), op.WireBytes() + 16,
-                   [peer, zxid, op]() { peer->HandlePropose(zxid, op); });
+                   [peer, zxid, op]() mutable { peer->HandlePropose(zxid, std::move(op)); });
   }
+  proposals_[zxid] = PendingProposal{std::move(op), /*acks=*/1, /*quorum_reached=*/false};
+  counters_.proposals++;
   LeaderMaybeCommit();  // a single-node ensemble reaches quorum immediately
 }
 
@@ -103,15 +107,15 @@ void ZabServer::LeaderMaybeCommit() {
       return;
     }
     const uint64_t zxid = it->first;
-    const ZabOp op = it->second.op;
+    ZabOp op = std::move(it->second.op);
     proposals_.erase(it);
     last_committed_zxid_ = zxid;
-    metrics_.GetCounter("commits").Increment();
+    counters_.commits++;
     for (ZabServer* peer : peers_) {
       network_->Send(id_, peer->id(), op.WireBytes() + 16,
-                     [peer, zxid, op]() { peer->HandleCommit(zxid, op); });
+                     [peer, zxid, op]() mutable { peer->HandleCommit(zxid, std::move(op)); });
     }
-    uncommitted_[zxid] = op;
+    uncommitted_[zxid] = std::move(op);
     ApplyInOrder();
   }
 }
@@ -130,18 +134,18 @@ void ZabServer::ApplyInOrder() {
       return;
     }
     const uint64_t zxid = it->first;
-    const ZabOp op = it->second;
+    ZabOp op = std::move(it->second);
     uncommitted_.erase(it);
     last_applied_zxid_ = zxid;
     service_.Submit(config_->commit_apply_service,
-                    [this, zxid, op]() { ApplyCommitted(zxid, op); });
+                    [this, zxid, op = std::move(op)]() { ApplyCommitted(zxid, op); });
   }
 }
 
 void ZabServer::ApplyCommitted(uint64_t zxid, const ZabOp& op) {
   (void)zxid;
   const ZabApplyResult result = Apply(op);
-  metrics_.GetCounter("applies").Increment();
+  counters_.applies++;
   if (op.origin != id_) {
     return;
   }
@@ -153,7 +157,7 @@ void ZabServer::ApplyCommitted(uint64_t zxid, const ZabOp& op) {
   pending_requests_.erase(it);
 }
 
-void ZabServer::RespondToClient(const PendingClientRequest& request, const ZabOp& op,
+void ZabServer::RespondToClient(PendingClientRequest& request, const ZabOp& op,
                                 const ZabApplyResult& result) {
   OpResult out;
   int64_t bytes = kResponseHeaderBytes;
@@ -174,10 +178,10 @@ void ZabServer::RespondToClient(const PendingClientRequest& request, const ZabOp
       out.found = result.ok;  // false = conflict: someone else removed it first
       break;
   }
-  auto respond_fn = request.respond;
-  network_->Send(id_, request.client_id, bytes, [respond_fn, out]() {
-    respond_fn(out, /*is_final=*/true, ResponseKind::kValue);
-  });
+  network_->Send(id_, request.client_id, bytes,
+                 [respond = std::move(request.respond), out = std::move(out)]() mutable {
+                   respond(std::move(out), /*is_final=*/true, ResponseKind::kValue);
+                 });
 }
 
 ZabApplyResult ZabServer::Apply(const ZabOp& op) {
@@ -255,7 +259,7 @@ OpResult ZabServer::SimulateLocally(const ZabOp& op) {
 void ZabServer::ReadChildren(NodeId client_id, const std::string& queue,
                              std::function<void(std::vector<int64_t>)> respond) {
   service_.Submit(config_->local_read_service,
-                  [this, client_id, queue, respond = std::move(respond)]() {
+                  [this, client_id, queue = std::string(queue), respond = std::move(respond)]() {
                     std::vector<int64_t> children;
                     const QueueState& state = queues_[queue];
                     children.reserve(state.Size());
@@ -269,13 +273,15 @@ void ZabServer::ReadChildren(NodeId client_id, const std::string& queue,
                         kResponseHeaderBytes +
                         config_->znode_name_bytes * static_cast<int64_t>(children.size());
                     network_->Send(id_, client_id, bytes,
-                                   [respond, children]() { respond(children); });
+                                   [respond, children = std::move(children)]() mutable {
+                                     respond(std::move(children));
+                                   });
                   });
 }
 
 void ZabServer::ReadHead(NodeId client_id, const std::string& queue, ZabResponseFn respond) {
   service_.Submit(config_->local_read_service,
-                  [this, client_id, queue, respond = std::move(respond)]() {
+                  [this, client_id, queue = std::string(queue), respond = std::move(respond)]() {
                     OpResult out;
                     const auto head = queues_[queue].Head();
                     if (head.has_value()) {
@@ -283,16 +289,20 @@ void ZabServer::ReadHead(NodeId client_id, const std::string& queue, ZabResponse
                       out.value = head->data;
                       out.seqno = head->seq;
                     }
-                    network_->Send(id_, client_id, out.WireBytes(), [respond, out]() {
-                      respond(out, /*is_final=*/true, ResponseKind::kValue);
-                    });
+                    const int64_t bytes = out.WireBytes();
+                    network_->Send(id_, client_id, bytes,
+                                   [respond, out = std::move(out)]() mutable {
+                                     respond(std::move(out), /*is_final=*/true,
+                                             ResponseKind::kValue);
+                                   });
                   });
 }
 
 void ZabServer::ReadData(NodeId client_id, const std::string& queue, int64_t seq,
                          ZabResponseFn respond) {
   service_.Submit(config_->local_read_service,
-                  [this, client_id, queue, seq, respond = std::move(respond)]() {
+                  [this, client_id, queue = std::string(queue), seq,
+                   respond = std::move(respond)]() {
                     OpResult out;
                     for (const QueueEntry& entry : queues_[queue].entries()) {
                       if (entry.seq == seq) {
@@ -302,9 +312,12 @@ void ZabServer::ReadData(NodeId client_id, const std::string& queue, int64_t seq
                         break;
                       }
                     }
-                    network_->Send(id_, client_id, out.WireBytes(), [respond, out]() {
-                      respond(out, /*is_final=*/true, ResponseKind::kValue);
-                    });
+                    const int64_t bytes = out.WireBytes();
+                    network_->Send(id_, client_id, bytes,
+                                   [respond, out = std::move(out)]() mutable {
+                                     respond(std::move(out), /*is_final=*/true,
+                                             ResponseKind::kValue);
+                                   });
                   });
 }
 

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "src/common/inline_function.h"
-#include "src/common/metrics.h"
 #include "src/common/status.h"
 #include "src/correctables/binding.h"
 #include "src/correctables/operation.h"
@@ -82,8 +81,17 @@ class ZabServer {
 
   NodeId id() const { return id_; }
   bool is_leader() const { return leader_ == this; }
+  // Event counts since construction.
+  struct Counters {
+    int64_t writes_received = 0;
+    int64_t preliminaries_sent = 0;
+    int64_t proposals = 0;
+    int64_t commits = 0;
+    int64_t applies = 0;
+  };
+
   ServiceQueue& service_queue() { return service_; }
-  MetricRegistry& metrics() { return metrics_; }
+  const Counters& counters() const { return counters_; }
 
   // --- Client entry points (this server is the session server) ------------------------
   // Write op (enqueue/dequeue/delete). With `icg`, a preliminary view from local
@@ -123,7 +131,8 @@ class ZabServer {
   void LeaderMaybeCommit();
   void ApplyInOrder();
   void ApplyCommitted(uint64_t zxid, const ZabOp& op);
-  void RespondToClient(const PendingClientRequest& request, const ZabOp& op,
+  // Takes `request.respond`: the request is erased right after.
+  void RespondToClient(PendingClientRequest& request, const ZabOp& op,
                        const ZabApplyResult& result);
   ZabApplyResult Apply(const ZabOp& op);
   OpResult SimulateLocally(const ZabOp& op);
@@ -135,7 +144,7 @@ class ZabServer {
   NodeId id_;
   const ZabConfig* config_;
   ServiceQueue service_;
-  MetricRegistry metrics_;
+  Counters counters_;
 
   std::vector<ZabServer*> peers_;
   ZabServer* leader_ = nullptr;

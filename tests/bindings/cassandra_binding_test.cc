@@ -42,7 +42,7 @@ TEST_F(CassandraBindingTest, WeakOnlyGetSingleResponse) {
   world_.loop().Run();
   EXPECT_EQ(callbacks, 1);
   // Weak-only = R1 local read: no peer quorum traffic beyond the client link.
-  EXPECT_EQ(stack_->cluster->ReplicaIn(Region::kFrankfurt)->metrics().Value("icg_reads"), 0);
+  EXPECT_EQ(stack_->cluster->ReplicaIn(Region::kFrankfurt)->counters().icg_reads, 0);
 }
 
 TEST_F(CassandraBindingTest, StrongOnlyGetSingleResponse) {
@@ -56,7 +56,7 @@ TEST_F(CassandraBindingTest, StrongOnlyGetSingleResponse) {
   world_.loop().Run();
   EXPECT_EQ(callbacks, 1);
   EXPECT_EQ(
-      stack_->cluster->ReplicaIn(Region::kFrankfurt)->metrics().Value("preliminaries_sent"), 0);
+      stack_->cluster->ReplicaIn(Region::kFrankfurt)->counters().preliminaries_sent, 0);
 }
 
 TEST_F(CassandraBindingTest, BothLevelsUseIcgPath) {
@@ -67,7 +67,7 @@ TEST_F(CassandraBindingTest, BothLevelsUseIcgPath) {
   world_.loop().Run();
   EXPECT_EQ(seen, (std::vector<ConsistencyLevel>{ConsistencyLevel::kWeak,
                                                  ConsistencyLevel::kStrong}));
-  EXPECT_EQ(stack_->cluster->ReplicaIn(Region::kFrankfurt)->metrics().Value("icg_reads"), 1);
+  EXPECT_EQ(stack_->cluster->ReplicaIn(Region::kFrankfurt)->counters().icg_reads, 1);
 }
 
 TEST_F(CassandraBindingTest, ConfirmationsOnlyWhenConfigured) {

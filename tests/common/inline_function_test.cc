@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
+#include <type_traits>
 #include <utility>
+
+#include "src/sim/event_loop.h"
+#include "src/sim/service_queue.h"
 
 namespace icg {
 namespace {
@@ -127,6 +134,56 @@ TEST(InlineFunction, MovedFromWrapperIsReusable) {
   EXPECT_EQ(f(), 4);
   EXPECT_EQ(g(), 3);
   EXPECT_EQ(Tracked::live, 2);
+}
+
+// The two ways to copy a `const std::string&` parameter into a closure.
+auto CaptureByCopy(const std::string& key) {
+  return [key]() { return key.size(); };  // member type: const std::string
+}
+auto CaptureAsString(const std::string& key) {
+  return [key = std::string(key)]() { return key.size(); };  // member type: std::string
+}
+
+TEST(InlineFunction, ConstStringMemberSpillsWhileItsStringTwinStaysInline) {
+  using ConstMember = decltype(CaptureByCopy(""));
+  using PlainMember = decltype(CaptureAsString(""));
+  static_assert(sizeof(ConstMember) == sizeof(PlainMember));
+  // A const member's "move" is a copy that may throw, so no capacity keeps it inline.
+  EXPECT_FALSE(std::is_nothrow_move_constructible_v<ConstMember>);
+  EXPECT_FALSE((InlineFunction<size_t(), 48>::StoresInline<ConstMember>()));
+  EXPECT_FALSE((InlineFunction<size_t(), 1024>::StoresInline<ConstMember>()));
+  EXPECT_TRUE((InlineFunction<size_t(), 48>::StoresInline<PlainMember>()));
+
+  // Both still behave the same; only where they live differs.
+  InlineFunction<size_t(), 48> spilled = CaptureByCopy("user1");
+  InlineFunction<size_t(), 48> inlined = CaptureAsString("user1");
+  EXPECT_EQ(spilled(), 5u);
+  EXPECT_EQ(inlined(), 5u);
+}
+
+TEST(InlineFunction, ServiceQueueJobFitsEventLoopTask) {
+  // The shape of a replica's peer-read job: owner, requester, key, request id and the
+  // reply callback.
+  auto job = [owner = static_cast<void*>(nullptr), requester = NodeId{1},
+              key = std::string("user1"), request_id = uint64_t{7},
+              reply = std::function<void(uint64_t)>()]() mutable {
+    (void)owner;
+    (void)requester;
+    (void)key;
+    reply(request_id);
+  };
+  EXPECT_TRUE(EventLoop::Task::StoresInline<ServiceQueue::Job<decltype(job)>>());
+  // The wrapper adds the queue pointer and the generation, nothing more.
+  EXPECT_EQ(sizeof(ServiceQueue::Job<decltype(job)>), sizeof(job) + 16);
+
+  // And the wrapped job still runs at its completion time.
+  EventLoop loop;
+  ServiceQueue q(&loop, "s");
+  uint64_t replied = 0;
+  q.Submit(Millis(1), [reply = std::function<void(uint64_t)>(
+                           [&replied](uint64_t id) { replied = id; })]() { reply(7); });
+  loop.Run();
+  EXPECT_EQ(replied, 7u);
 }
 
 }  // namespace

@@ -57,23 +57,6 @@ TEST(ThroughputMeter, OpsPerSecond) {
   EXPECT_EQ(t.ops(), 0);
 }
 
-TEST(MetricRegistry, NamedCountersIndependent) {
-  MetricRegistry r;
-  r.GetCounter("a").Increment(2);
-  r.GetCounter("b").Increment(3);
-  EXPECT_EQ(r.Value("a"), 2);
-  EXPECT_EQ(r.Value("b"), 3);
-  EXPECT_EQ(r.Value("missing"), 0);
-}
-
-TEST(MetricRegistry, ResetClearsAll) {
-  MetricRegistry r;
-  r.GetCounter("x").Increment(9);
-  r.Reset();
-  EXPECT_EQ(r.Value("x"), 0);
-  EXPECT_EQ(r.counters().size(), 1u);  // names persist, values reset
-}
-
 TEST(Digest, Fnv1aKnownValues) {
   // FNV-1a published test vectors.
   EXPECT_EQ(Fnv1a(""), 0xcbf29ce484222325ULL);

@@ -302,8 +302,8 @@ TEST(RebalanceFailures, CoordinatorRemovedWithPendingWriteCohortReRoutes) {
     }
   }
   ASSERT_NE(removed_replica, nullptr);
-  EXPECT_EQ(removed_replica->metrics().GetCounter("writes_coordinated").value(), 0);
-  EXPECT_EQ(removed_replica->metrics().GetCounter("multi_writes_coordinated").value(), 0);
+  EXPECT_EQ(removed_replica->counters().writes_coordinated, 0);
+  EXPECT_EQ(removed_replica->counters().multi_writes_coordinated, 0);
   // ...yet converges to the written values through ordinary replication.
   world.loop().RunFor(Seconds(1));
   for (size_t i = 0; i < keys.size(); ++i) {

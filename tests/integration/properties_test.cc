@@ -111,8 +111,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConfirmationTransparency, ::testing::Values(21u,
 
 // --- Property: queues never oversell across retailer/threshold sweeps ------------------
 
+// gtest names each case after the raw bytes of its parameter, so the struct must have no
+// padding: uninitialised padding bytes would make the case names vary between builds.
 struct TicketSweep {
-  int retailers;
+  int64_t retailers;
   int64_t threshold;
 };
 

@@ -75,7 +75,7 @@ TEST(ShardedRouting, AllCoordinatorsShareTheLoad) {
   }
   world.loop().Run();
   for (const auto& replica : stack.cluster->replicas()) {
-    EXPECT_GT(replica->metrics().GetCounter("reads_coordinated").value(), 0)
+    EXPECT_GT(replica->counters().reads_coordinated, 0)
         << "replica " << replica->id() << " coordinated nothing";
   }
 }
@@ -222,7 +222,7 @@ TEST(ShardedRouting, CoordinatorJoinsUnderLoadWithoutBreakingInvocations) {
   EXPECT_EQ(stack.client()->stats().stale_views_dropped, 0);
   // The joiner actually coordinates traffic now.
   KvReplica* promoted = stack.cluster->replicas().back().get();
-  EXPECT_GT(promoted->metrics().GetCounter("reads_coordinated").value(), 0)
+  EXPECT_GT(promoted->counters().reads_coordinated, 0)
       << "promoted coordinator served nothing after the join";
 }
 

@@ -154,7 +154,7 @@ TEST_F(ReplicaTest, IcgConfirmationWhenPreliminaryMatches) {
   });
   loop_.Run();
   EXPECT_EQ(final_kind, ResponseKind::kConfirmation);
-  EXPECT_EQ(cluster_.ReplicaIn(Region::kFrankfurt)->metrics().Value("confirmations_sent"), 1);
+  EXPECT_EQ(cluster_.ReplicaIn(Region::kFrankfurt)->counters().confirmations_sent, 1);
 }
 
 TEST_F(ReplicaTest, IcgFullFinalWhenDiverged) {
@@ -175,7 +175,7 @@ TEST_F(ReplicaTest, IcgFullFinalWhenDiverged) {
   loop_.Run();
   EXPECT_EQ(final_kind, ResponseKind::kValue);
   EXPECT_EQ(final_value, "fresh");
-  EXPECT_EQ(cluster_.ReplicaIn(Region::kFrankfurt)->metrics().Value("divergent_finals"), 1);
+  EXPECT_EQ(cluster_.ReplicaIn(Region::kFrankfurt)->counters().divergent_finals, 1);
 }
 
 TEST_F(ReplicaTest, QuorumTimesOutWhenPeersCrashed) {
@@ -303,9 +303,9 @@ TEST_F(ReplicaTest, CoordinatorMetricsCount) {
   cluster_.Preload("k", "v");
   Read("k", 2);
   Write("k", "v2");
-  auto& metrics = cluster_.ReplicaIn(Region::kFrankfurt)->metrics();
-  EXPECT_EQ(metrics.Value("reads_coordinated"), 1);
-  EXPECT_EQ(metrics.Value("writes_coordinated"), 1);
+  const KvReplica::Counters& counters = cluster_.ReplicaIn(Region::kFrankfurt)->counters();
+  EXPECT_EQ(counters.reads_coordinated, 1);
+  EXPECT_EQ(counters.writes_coordinated, 1);
 }
 
 // --- Crash & recovery (WAL + snapshot durability) --------------------------------------
@@ -391,7 +391,7 @@ TEST_F(ReplicaTest, RecoveredReplicaCatchesUpViaBootstrap) {
   EXPECT_EQ(irl->LocalGet("k2")->value, "v2");
   EXPECT_TRUE(irl->last_recovery().bootstrap_complete);
   EXPECT_GE(irl->last_recovery().bootstrap_keys_merged, 2u);
-  EXPECT_GE(cluster_.ReplicaIn(Region::kFrankfurt)->metrics().Value("bootstraps_served"), 1);
+  EXPECT_GE(cluster_.ReplicaIn(Region::kFrankfurt)->counters().bootstraps_served, 1);
 }
 
 TEST_F(ReplicaTest, SnapshotPlusWalTailRebuildsExactState) {

@@ -91,6 +91,19 @@ TEST(ServiceQueue, ResetStatsKeepsSchedule) {
   EXPECT_EQ(q.busy_until(), Millis(1));
 }
 
+TEST(ServiceQueue, ResetStatsMidFlightKeepsInFlightExact) {
+  EventLoop loop;
+  ServiceQueue q(&loop, "s");
+  q.Submit(Millis(1), []() {});
+  q.Submit(Millis(1), []() {});
+  q.ResetStats();
+  EXPECT_EQ(q.InFlight(), 2);  // the reset starts a stats window, it kills no job
+  loop.Run();
+  EXPECT_EQ(q.InFlight(), 0);
+  EXPECT_EQ(q.submitted(), 0);
+  EXPECT_EQ(q.completed(), 2);  // both completions land in the new window
+}
+
 TEST(ServiceQueue, SaturationDelaysGrowLinearly) {
   EventLoop loop;
   ServiceQueue q(&loop, "s");
