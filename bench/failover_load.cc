@@ -149,8 +149,14 @@ int main(int argc, char** argv) {
     rejoined = event.rejoined_at >= 0;
   }
   const KvReplica* recovered = nullptr;
+  int64_t snapshots_taken = 0;  // over every replica: bases + deltas
+  int64_t delta_snapshots = 0;
+  int64_t snapshot_entries_written = 0;
   for (const auto& replica : stack.cluster->replicas()) {
     if (replica->id() == victim) recovered = replica.get();
+    snapshots_taken += replica->counters().snapshots_taken;
+    delta_snapshots += replica->counters().delta_snapshots;
+    snapshot_entries_written += replica->counters().snapshot_entries_written;
   }
 
   // The durability contract: every replica holds at least the highest version a client
@@ -195,6 +201,9 @@ int main(int argc, char** argv) {
               recovered != nullptr
                   ? static_cast<unsigned long long>(recovered->last_recovery().bootstrap_keys_merged)
                   : 0ull);
+  std::printf("snapshots %lld (%lld deltas), %lld entries serialized\n",
+              static_cast<long long>(snapshots_taken), static_cast<long long>(delta_snapshots),
+              static_cast<long long>(snapshot_entries_written));
   std::printf("acked writes checked %lld, lost %lld; post-recovery %.0f ops/s %s 0.9x "
               "pre-crash %.0f ops/s (%.2fx)\n",
               static_cast<long long>(acked_keys), static_cast<long long>(acked_lost),
@@ -219,6 +228,13 @@ int main(int argc, char** argv) {
            recovered != nullptr
                ? static_cast<int64_t>(recovered->last_recovery().bootstrap_keys_merged)
                : 0);
+  json.Add("recovery.snapshot_entries",
+           recovered != nullptr
+               ? static_cast<int64_t>(recovered->last_recovery().snapshot_entries)
+               : 0);
+  json.Add("snapshot.taken", snapshots_taken);
+  json.Add("snapshot.deltas", delta_snapshots);
+  json.Add("snapshot.entries_written", snapshot_entries_written);
   json.Add("speedup_post_vs_pre", pre_crash > 0 ? post_recovery / pre_crash : 0.0, 2);
   json.Add("ring_epoch_after", static_cast<int64_t>(stack.ring_epoch()));
   json.Add("durability.acked_keys", acked_keys);

@@ -535,11 +535,7 @@ void KvReplica::CoordinateWrite(NodeId client_id, const std::string& key, std::s
                                 ? Version{timestamp, client_id}
                                 : Version{static_cast<SimTime>(write_seq_), id_};
     VersionedValue vv{std::move(value), version};
-
-    auto existing = storage_.find(key);
-    if (existing == storage_.end() || existing->second.OlderThan(version)) {
-      storage_[key] = vv;
-    }
+    ApplyLww(key, vv, /*log=*/false);
 
     // WAL-before-ack: a coordinated write is logged and fsynced before the client hears
     // about it — an acked write survives any kill -9 from here on. The fsync latency
@@ -624,11 +620,7 @@ void KvReplica::CoordinateMultiWrite(NodeId client_id, std::vector<std::string> 
       ack.version = version;
       ack.key_versions.push_back(version);
       VersionedValue vv{std::move(values[i]), version};
-
-      auto existing = storage_.find(keys[i]);
-      if (existing == storage_.end() || existing->second.OlderThan(version)) {
-        storage_[keys[i]] = vv;
-      }
+      ApplyLww(keys[i], vv, /*log=*/false);
       if (wal_ != nullptr) {
         cohort_lsn = wal_->Append(keys[i], vv.value, version);
       }
@@ -735,11 +727,14 @@ void KvReplica::HandleBootstrap(
 }
 
 bool KvReplica::ApplyLww(const std::string& key, const VersionedValue& incoming, bool log) {
-  auto existing = storage_.find(key);
-  if (existing != storage_.end() && !existing->second.OlderThan(incoming.version)) {
-    return false;
+  const auto [entry, inserted] = storage_.try_emplace(key, incoming);
+  if (!inserted) {
+    if (!entry->second.OlderThan(incoming.version)) {
+      return false;
+    }
+    entry->second = incoming;
   }
-  storage_[key] = incoming;
+  MarkChanged(entry);
   if (log && wal_ != nullptr) {
     // Lazy append: replicated/repaired state is logged but not fsynced — the unsynced
     // tail is recoverable from the peers that sent it, and it is what a torn-tail crash
@@ -752,6 +747,14 @@ bool KvReplica::ApplyLww(const std::string& key, const VersionedValue& incoming,
   return true;
 }
 
+void KvReplica::MarkChanged(Store::const_iterator entry) {
+  // Until a base exists the next snapshot rewrites the whole store, so there is nothing
+  // to track; with snapshots off nothing ever is.
+  if (snapshot_ != nullptr && config_->snapshot_every > 0 && snapshot_->HasSnapshot()) {
+    changed_.push_back(entry);
+  }
+}
+
 void KvReplica::MaybeScheduleSnapshot() {
   if (wal_ == nullptr || config_->snapshot_every <= 0 || snapshot_in_flight_) {
     return;
@@ -760,20 +763,39 @@ void KvReplica::MaybeScheduleSnapshot() {
     return;
   }
   snapshot_in_flight_ = true;
+  // The cut: entries changed up to here go into this snapshot, later ones into the next.
+  const uint64_t cut_lsn = wal_->next_lsn() - 1;
+  cut_.swap(changed_);
+  changed_.clear();
+  std::sort(cut_.begin(), cut_.end(),
+            [](Store::const_iterator a, Store::const_iterator b) { return a->first < b->first; });
+  cut_.erase(std::unique(cut_.begin(), cut_.end()), cut_.end());
+  const bool base = snapshot_->NeedsBase(cut_.size());  // a rewrite covers every entry
+  const size_t entries = base ? storage_.size() : cut_.size();
   const SimDuration service =
       config_->snapshot_base_service +
-      config_->snapshot_per_entry_service * static_cast<SimDuration>(storage_.size());
+      config_->snapshot_per_entry_service * static_cast<SimDuration>(entries);
   // Background snapshot on the service queue: it competes with request work for the
   // replica's CPU, the cost of bounding replay time. Crash() cancels it via the queue's
   // generation, so no incarnation check is needed here.
-  service_.Submit(service, [this]() {
+  service_.Submit(service, [this, base, cut_lsn]() {
     snapshot_in_flight_ = false;
-    // Cover only cluster-visible records: a coordinated write between its append and
-    // its replication fan-out must stay in the replayed tail, or a crash after the
-    // snapshot would resurrect it on this replica alone with no record to re-push.
-    snapshot_->Take(storage_, replicated_lsn_);
+    // Cover only cluster-visible records up to the cut: a coordinated write between its
+    // append and its replication fan-out must stay in the replayed tail, or a crash after
+    // the snapshot would resurrect it on this replica alone with no record to re-push;
+    // a record past the cut may belong to a key the delta does not hold.
+    const uint64_t covered = std::min(replicated_lsn_, cut_lsn);
+    if (base) {
+      snapshot_->Take(storage_, covered);
+      counters_.snapshot_entries_written += static_cast<int64_t>(storage_.size());
+    } else {
+      snapshot_->TakeDelta(cut_, covered);
+      counters_.delta_snapshots++;
+      counters_.snapshot_entries_written += static_cast<int64_t>(cut_.size());
+    }
+    cut_.clear();
     records_at_last_snapshot_ = wal_->appended_records();
-    wal_->TruncateThrough(snapshot_->covered_lsn());
+    wal_->TruncateThrough(covered);
     counters_.snapshots_taken++;
   });
 }
@@ -795,6 +817,8 @@ void KvReplica::Crash() {
   }
   pending_reads_.clear();
   pending_multi_reads_.clear();
+  changed_.clear();  // before storage_: the entries die with the process
+  cut_.clear();
   storage_.clear();
   write_seq_ = 0;
   snapshot_in_flight_ = false;
@@ -949,12 +973,15 @@ std::optional<VersionedValue> KvReplica::LocalGet(const std::string& key) const 
 }
 
 void KvReplica::LocalPut(const std::string& key, std::string value, Version version) {
-  storage_[key] = VersionedValue{std::move(value), version};
+  const auto entry =
+      storage_.insert_or_assign(key, VersionedValue{std::move(value), version}).first;
+  MarkChanged(entry);
   if (wal_ != nullptr) {
     // Preloads are part of the durable dataset: log + sync so a crashed replica's
     // recovered state includes them without leaning on the bootstrap. They are applied
     // at every replica by construction, so they are cluster-visible immediately.
-    replicated_lsn_ = std::max(replicated_lsn_, wal_->Append(key, storage_[key].value, version));
+    replicated_lsn_ =
+        std::max(replicated_lsn_, wal_->Append(key, entry->second.value, version));
     wal_->Sync();
   }
 }

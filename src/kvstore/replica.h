@@ -69,7 +69,7 @@ struct KvConfig {
   bool wal_torn_tail = false;         // crash may leave a torn partial record (faults)
   int64_t snapshot_every = 0;         // snapshot every N appended records (0 = never)
   SimDuration snapshot_base_service = Micros(400);     // fixed cost of taking a snapshot
-  SimDuration snapshot_per_entry_service = Micros(2);  // plus per stored entry
+  SimDuration snapshot_per_entry_service = Micros(2);  // plus per serialized entry
   SimDuration ping_service = Micros(20);               // heartbeat probe handling
   SimDuration bootstrap_per_key_service = Micros(5);   // anti-entropy dump, per entry
   // Writes acked while this replica was down may still be in flight to the bootstrap
@@ -114,7 +114,9 @@ class KvReplica {
     int64_t read_timeouts = 0;
     int64_t read_repairs = 0;
     int64_t replications_applied = 0;
-    int64_t snapshots_taken = 0;
+    int64_t snapshots_taken = 0;           // base rewrites + deltas
+    int64_t delta_snapshots = 0;           // snapshots that appended a delta segment
+    int64_t snapshot_entries_written = 0;  // entries serialized, bases + deltas
     int64_t crashes = 0;
     int64_t recoveries = 0;
     int64_t recovery_pushes = 0;
@@ -135,17 +137,18 @@ class KvReplica {
   // messages stop reaching the node; messages already in flight still deliver and are
   // dropped by the entry-point guards here.
   void Crash();
-  // Rebuilds state from the newest snapshot plus WAL replay strictly after it (LWW
-  // apply, so replay is idempotent — zero duplication), restores the write clock, and
-  // kicks off an asynchronous anti-entropy bootstrap from the nearest live peer to pick
-  // up writes coordinated elsewhere while this replica was down. Pair with
-  // Network::Restart(id) *before* calling so the bootstrap request can leave the node.
+  // Rebuilds state from the snapshot (base, then each delta in order) plus WAL replay
+  // strictly after its last segment (LWW apply, so replay is idempotent — zero
+  // duplication), restores the write clock, and kicks off an asynchronous anti-entropy
+  // bootstrap from the nearest live peer to pick up writes coordinated elsewhere while
+  // this replica was down. Pair with Network::Restart(id) *before* calling so the
+  // bootstrap request can leave the node.
   void Recover();
   bool crashed() const { return crashed_; }
   uint64_t incarnation() const { return incarnation_; }
 
   struct RecoveryStats {
-    uint64_t snapshot_entries = 0;       // entries loaded from the snapshot image
+    uint64_t snapshot_entries = 0;       // entries loaded from base + deltas
     uint64_t wal_records_replayed = 0;   // records applied past the snapshot
     bool torn_tail = false;              // replay ended at a torn record
     uint64_t bootstrap_keys_merged = 0;  // entries LWW-merged from the bootstrap peer
@@ -156,6 +159,9 @@ class KvReplica {
   // Durability observability (null iff KvConfig::durability is false).
   Wal* wal() { return wal_.get(); }
   SnapshotManager* snapshots() { return snapshot_.get(); }
+  // Store entries changed since the last snapshot cut, duplicates included (always 0
+  // when snapshots are off).
+  size_t changed_since_cut() const { return changed_.size(); }
 
   // --- Coordinator entry points (invoked at this node; client_id is the requester) ----
   void CoordinateRead(NodeId client_id, const std::string& key, const ReadOptions& options,
@@ -262,11 +268,18 @@ class KvReplica {
   static OpResult ToMultiOpResult(const std::vector<std::optional<VersionedValue>>& values);
   static Digest CombinedDigest(const std::vector<std::optional<VersionedValue>>& values);
 
-  // LWW apply to local storage; returns true if the store changed. Appends the applied
-  // record to the WAL when `log` says so (lazily — durability waits for the next Sync).
+  using Store = SnapshotManager::Store;
+
+  // LWW apply to local storage in one map lookup; returns true if the store changed.
+  // Appends the applied record to the WAL when `log` says so (lazily — durability waits
+  // for the next Sync).
   bool ApplyLww(const std::string& key, const VersionedValue& incoming, bool log);
+  // Notes a changed entry for the next delta snapshot.
+  void MarkChanged(Store::const_iterator entry);
   // Snapshot cadence: once `snapshot_every` records accumulated past the last snapshot,
-  // schedules a background snapshot on the service queue (cost scales with store size).
+  // cuts the changed entries and schedules a background snapshot on the service queue.
+  // Its cost scales with the distinct keys changed since the previous cut, or with the
+  // store size when the base is due for a rewrite.
   void MaybeScheduleSnapshot();
   // One attempt of the post-recovery anti-entropy bootstrap; retries on the next peer
   // if the current one never answers (it may be dead too).
@@ -285,7 +298,7 @@ class KvReplica {
                               PoolAllocator<std::pair<const uint64_t, V>>>;
 
   std::vector<KvReplica*> peers_;  // other replicas, nearest first
-  std::map<std::string, VersionedValue> storage_;
+  Store storage_;
   PendingMap<PendingRead> pending_reads_;
   PendingMap<PendingMultiRead> pending_multi_reads_;
   uint64_t next_request_id_ = 1;
@@ -298,6 +311,11 @@ class KvReplica {
   uint64_t incarnation_ = 0;  // bumped per crash; stale async callbacks check and no-op
   bool snapshot_in_flight_ = false;
   int64_t records_at_last_snapshot_ = 0;
+  // Entries changed since the last cut, and the deduplicated, key-ordered cut the queued
+  // delta job serializes. Both keep their capacity, so tracking does not allocate in
+  // steady state. Crash() clears them along with the entries they point into.
+  std::vector<Store::const_iterator> changed_;
+  std::vector<Store::const_iterator> cut_;
   // Highest WAL LSN whose record is cluster-visible: its replication fan-out was sent,
   // or the value arrived FROM the cluster (replication, repair, bootstrap, preload).
   // Snapshots only cover up to here, so the replayed tail after a crash is exactly the

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "src/kvstore/cluster.h"
 #include "src/sim/network.h"
 #include "src/sim/topology.h"
@@ -420,6 +424,213 @@ TEST_F(ReplicaTest, SnapshotPlusWalTailRebuildsExactState) {
   }
   EXPECT_GT(frk->last_recovery().snapshot_entries, 0u);
   EXPECT_LT(frk->last_recovery().wal_records_replayed, 5u);  // snapshot bounded replay
+}
+
+// Replicates `count` versions of `key` into `replica` directly (no network), each a
+// lazily logged WAL record that advances the snapshot cadence by one.
+void ReplicateVersions(KvReplica* replica, const std::string& key, int count,
+                       SimTime* stamp) {
+  for (int i = 0; i < count; ++i) {
+    *stamp += 1;
+    replica->HandleReplicate(key, VersionedValue{key + std::to_string(*stamp),
+                                                 Version{*stamp, /*writer=*/9}});
+  }
+}
+
+TEST_F(ReplicaTest, DeltaSnapshotChargesOnlyTheDistinctChangedKeys) {
+  config_.snapshot_every = 4;
+  KvReplica* frk = cluster_.ReplicaIn(Region::kFrankfurt);
+  for (int i = 0; i < 10; ++i) {
+    frk->LocalPut("p" + std::to_string(i), "v", Version{1, 1});
+  }
+  SimTime stamp = 100;
+  // The first cut has no base to extend: it writes the whole 11-entry store.
+  ReplicateVersions(frk, "a", 1, &stamp);
+  loop_.Run();
+  ASSERT_EQ(frk->snapshots()->base_entries(), 11u);
+  ASSERT_EQ(frk->counters().delta_snapshots, 0);
+
+  // Four records over three keys: the next cut holds "a", "b" and "c" once each.
+  const SimDuration busy_before = frk->service_queue().total_busy_time();
+  frk->LocalPut("c", "v", Version{1, 1});
+  ReplicateVersions(frk, "a", 2, &stamp);
+  ReplicateVersions(frk, "b", 1, &stamp);
+  loop_.Run();
+  EXPECT_EQ(frk->counters().delta_snapshots, 1);
+  EXPECT_EQ(frk->snapshots()->segments(), 1u);
+  EXPECT_EQ(frk->snapshots()->delta_entries(), 3u);
+  EXPECT_EQ(frk->counters().snapshot_entries_written, 11 + 3);
+  EXPECT_EQ(frk->service_queue().total_busy_time() - busy_before,
+            3 * config_.replicate_service + config_.snapshot_base_service +
+                3 * config_.snapshot_per_entry_service);
+}
+
+TEST_F(ReplicaTest, KeyWrittenManyTimesBetweenCutsIsSerializedOnce) {
+  config_.snapshot_every = 100;
+  KvReplica* frk = cluster_.ReplicaIn(Region::kFrankfurt);
+  for (int i = 0; i < 150; ++i) {
+    frk->LocalPut("p" + std::to_string(i), "v", Version{1, 1});
+  }
+  SimTime stamp = 100;
+  ReplicateVersions(frk, "hot", 1, &stamp);  // the base cut
+  loop_.Run();
+  ASSERT_EQ(frk->snapshots()->base_entries(), 151u);
+  const int64_t written_before = frk->counters().snapshot_entries_written;
+
+  ReplicateVersions(frk, "hot", 100, &stamp);
+  loop_.Run();
+  EXPECT_EQ(frk->counters().delta_snapshots, 1);
+  EXPECT_EQ(frk->snapshots()->delta_entries(), 1u);
+  EXPECT_EQ(frk->counters().snapshot_entries_written - written_before, 1);
+
+  SnapshotManager::Store loaded;
+  uint64_t through = 0;
+  ASSERT_TRUE(frk->snapshots()->Load(&loaded, &through));
+  EXPECT_EQ(loaded.at("hot"), *frk->LocalGet("hot"));  // the newest of the 100 versions
+}
+
+TEST_F(ReplicaTest, SnapshotsOffKeepNoChangeList) {
+  ASSERT_EQ(config_.snapshot_every, 0);
+  cluster_.Preload("k", "v");
+  for (int i = 0; i < 20; ++i) {
+    Write("k" + std::to_string(i), "v");
+  }
+  for (const auto& replica : cluster_.replicas()) {
+    EXPECT_EQ(replica->changed_since_cut(), 0u);
+    EXPECT_FALSE(replica->snapshots()->HasSnapshot());
+  }
+
+  // The same traffic with snapshots on does track changes once a base exists.
+  config_.snapshot_every = 4;
+  for (int i = 0; i < 6; ++i) {
+    Write("k" + std::to_string(i), "w");
+  }
+  KvReplica* frk = cluster_.ReplicaIn(Region::kFrankfurt);
+  EXPECT_TRUE(frk->snapshots()->HasSnapshot());
+  EXPECT_GT(frk->changed_since_cut(), 0u);
+}
+
+TEST_F(ReplicaTest, RecoverFromBasePlusDeltasRebuildsThePreCrashState) {
+  config_.snapshot_every = 4;
+  std::vector<std::string> keys;
+  for (int i = 0; i < 20; ++i) {
+    keys.push_back("p" + std::to_string(i));
+    cluster_.Preload(keys.back(), "v");
+  }
+  for (int i = 0; i < 60; ++i) {
+    keys.push_back("k" + std::to_string(i));
+  }
+  KvReplica* frk = cluster_.ReplicaIn(Region::kFrankfurt);
+  auto state = [&] {
+    std::map<std::string, VersionedValue> out;
+    for (const std::string& key : keys) {
+      if (const auto local = frk->LocalGet(key)) out.emplace(key, *local);
+    }
+    EXPECT_EQ(frk->LocalSize(), out.size());
+    return out;
+  };
+  // Round 0 takes a base, a rewrite and several deltas. Round 1 writes a few fresh keys:
+  // its deltas truncate the WAL records replayed after the first crash, so the second
+  // recovery needs the replay to have marked those keys changed.
+  const int writes[2] = {50, 10};
+  for (int round = 0; round < 2; ++round) {
+    const KvReplica::Counters& counters = frk->counters();
+    const int64_t deltas_before = counters.delta_snapshots;
+    const int64_t bases_before = counters.snapshots_taken - deltas_before;
+    // Every write is coordinated (and fsynced) by FRK, so its whole store is synced.
+    for (int i = 0; i < writes[round]; ++i) {
+      Write(keys[20 + 30 * round + i % 30], "v" + std::to_string(i));
+    }
+    const int64_t deltas = counters.delta_snapshots - deltas_before;
+    const int64_t bases = counters.snapshots_taken - counters.delta_snapshots - bases_before;
+    if (round == 0) {
+      EXPECT_GE(deltas, 3);
+      EXPECT_GE(bases, 2);  // the first base plus at least one rewrite
+    } else {
+      EXPECT_GE(deltas, 1);
+      EXPECT_EQ(bases, 0);  // a rewrite would cover the replayed keys whether marked or not
+    }
+    ASSERT_GE(frk->snapshots()->segments(), 1u);  // recovery has deltas to apply
+    const auto before = state();
+
+    network_.Crash(frk->id());
+    frk->Crash();
+    network_.Restart(frk->id());
+    frk->Recover();
+    // Compared before the loop runs: base + deltas + WAL tail alone, no anti-entropy yet.
+    EXPECT_GT(frk->last_recovery().snapshot_entries, 0u);
+    EXPECT_GT(frk->last_recovery().wal_records_replayed, 0u);
+    EXPECT_EQ(state(), before) << "round " << round;
+    loop_.RunFor(Seconds(2));
+    EXPECT_TRUE(frk->last_recovery().bootstrap_complete);
+  }
+}
+
+// Preloads 10 keys and takes the base, then sends writes to k0..k5 in one burst: they
+// queue at FRK together, the delta cut lands on the fourth (k3), and k4 and k5 append
+// after it. Runs until the delta snapshot job has run and returns FRK.
+KvReplica* BurstPastADeltaCut(EventLoop& loop, KvCluster& cluster, KvClient& client) {
+  for (int i = 0; i < 10; ++i) {
+    cluster.Preload("p" + std::to_string(i), "v");
+  }
+  KvReplica* frk = cluster.ReplicaIn(Region::kFrankfurt);
+  client.Write("base", "v", [](StatusOr<OpResult>, bool, ResponseKind) {});
+  loop.Run();
+  EXPECT_EQ(frk->snapshots()->base_entries(), 11u);
+  for (int i = 0; i < 6; ++i) {
+    client.Write("k" + std::to_string(i), "v", [](StatusOr<OpResult>, bool, ResponseKind) {});
+  }
+  while (frk->counters().delta_snapshots == 0 && loop.RunOne()) {
+  }
+  EXPECT_EQ(frk->snapshots()->delta_entries(), 4u);  // k0..k3
+  return frk;
+}
+
+TEST_F(ReplicaTest, SnapshotTruncatesTheWalOnlyThroughTheCut) {
+  config_.snapshot_every = 4;
+  KvReplica* frk = BurstPastADeltaCut(loop_, cluster_, *client_);
+  // k4 and k5 were fanned out before the delta job ran, but the delta does not hold
+  // them: their WAL records must survive the truncation.
+  std::map<std::string, VersionedValue> before;
+  for (int i = 0; i < 6; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    ASSERT_TRUE(frk->LocalGet(key).has_value()) << key;
+    before.emplace(key, *frk->LocalGet(key));
+  }
+  network_.Crash(frk->id());
+  frk->Crash();
+  network_.Restart(frk->id());
+  frk->Recover();
+  for (const auto& [key, vv] : before) {
+    const auto local = frk->LocalGet(key);
+    ASSERT_TRUE(local.has_value()) << key;
+    EXPECT_EQ(*local, vv) << key;
+  }
+  loop_.RunFor(Seconds(2));
+}
+
+TEST_F(ReplicaTest, SnapshotNeverCoversAnUnreplicatedRecord) {
+  // With an fsync charge the delta job runs before k3's ack and fan-out: k3 is in the
+  // delta, yet its record must stay in the replayed tail so the recovery push still
+  // replicates it after a crash at that moment.
+  config_.snapshot_every = 4;
+  for (const auto& replica : cluster_.replicas()) {
+    replica->wal()->SetFaults(WalFaults{/*fsync_latency=*/Micros(120), /*torn_tail=*/false});
+  }
+  KvReplica* frk = BurstPastADeltaCut(loop_, cluster_, *client_);
+  network_.Crash(frk->id());
+  frk->Crash();
+  network_.Restart(frk->id());
+  frk->Recover();
+  loop_.RunFor(Seconds(2));
+  for (int i = 0; i < 6; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    const auto local = frk->LocalGet(key);
+    ASSERT_TRUE(local.has_value()) << key;  // k3 from the delta, k4 and k5 from the WAL
+    for (const auto& replica : cluster_.replicas()) {
+      EXPECT_EQ(replica->LocalGet(key), local) << key << " at replica " << replica->id();
+    }
+  }
 }
 
 TEST_F(ReplicaTest, WriteVersionsStayMonotoneAcrossRecovery) {

@@ -220,6 +220,70 @@ TEST(SnapshotTest, TakeReplacesPreviousSnapshotAtomically) {
   EXPECT_EQ(loaded, v2);
 }
 
+TEST(SnapshotTest, BasePlusDeltasLoadTheStoreAtTheLastCut) {
+  SnapshotManager snap("s");
+  SnapshotManager::Store store;
+  store["a"] = VersionedValue{"a1", Version{1, 1}};
+  store["b"] = VersionedValue{"b1", Version{2, 1}};
+  store["c"] = VersionedValue{"c1", Version{3, 1}};
+  store["d"] = VersionedValue{"d1", Version{4, 1}};
+  snap.Take(store, /*through_lsn=*/4);
+
+  store["a"] = VersionedValue{"a2", Version{5, 1}};
+  store["e"] = VersionedValue{"e1", Version{6, 1}};
+  const std::vector<SnapshotManager::Store::const_iterator> first = {store.find("a"),
+                                                                     store.find("e")};
+  snap.TakeDelta(first, /*through_lsn=*/6);
+
+  store["a"] = VersionedValue{"a3", Version{7, 1}};  // overrides the first delta's "a"
+  const std::vector<SnapshotManager::Store::const_iterator> second = {store.find("a")};
+  snap.TakeDelta(second, /*through_lsn=*/7);
+
+  EXPECT_EQ(snap.base_entries(), 4u);
+  EXPECT_EQ(snap.delta_entries(), 3u);
+  EXPECT_EQ(snap.segments(), 2u);
+  EXPECT_EQ(snap.snapshots_taken(), 3);
+  EXPECT_EQ(snap.covered_lsn(), 7u);
+
+  SnapshotManager::Store loaded;
+  uint64_t through = 0;
+  ASSERT_TRUE(snap.Load(&loaded, &through));
+  EXPECT_EQ(through, 7u);
+  EXPECT_EQ(loaded, store);
+  EXPECT_EQ(loaded["a"].value, "a3");
+}
+
+TEST(SnapshotTest, FullTakeDropsEveryDelta) {
+  SnapshotManager snap("s");
+  SnapshotManager::Store store;
+  store["a"] = VersionedValue{"a1", Version{1, 1}};
+  store["b"] = VersionedValue{"b1", Version{2, 1}};
+  snap.Take(store, 2);
+  store["a"] = VersionedValue{"a2", Version{3, 1}};
+  const std::vector<SnapshotManager::Store::const_iterator> delta = {store.find("a")};
+  snap.TakeDelta(delta, 3);
+  ASSERT_EQ(snap.segments(), 1u);
+
+  // The deltas would now reach the base's entry count: the rule says rewrite the base.
+  EXPECT_FALSE(snap.NeedsBase(0));
+  EXPECT_TRUE(snap.NeedsBase(1));
+  store["c"] = VersionedValue{"c1", Version{4, 1}};
+  snap.Take(store, 4);
+  EXPECT_EQ(snap.segments(), 0u);
+  EXPECT_EQ(snap.delta_entries(), 0u);
+  EXPECT_EQ(snap.base_entries(), 3u);
+  EXPECT_EQ(snap.snapshots_taken(), 3);
+  SnapshotManager base_only("b");
+  base_only.Take(store, 4);
+  EXPECT_EQ(snap.image_bytes(), base_only.image_bytes());  // no delta bytes left
+
+  SnapshotManager::Store loaded;
+  uint64_t through = 0;
+  ASSERT_TRUE(snap.Load(&loaded, &through));
+  EXPECT_EQ(through, 4u);
+  EXPECT_EQ(loaded, store);
+}
+
 TEST(SnapshotTest, SnapshotPlusReplayRebuildsExactState) {
   // The recovery composition the replica uses: snapshot covers a prefix, replay covers
   // the synced suffix, LWW application makes any overlap harmless.
