@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
   // intervals" is the gate: by ramp_start + 500ms the completion rate must already be
   // tracking the new offered load.
   const double pre_ramp = completions.RateOver(Seconds(1), ramp_start);
-  const SimTime follow_from = ramp_start + 2 * orch_options.control_interval;
+  const SimTime follow_from = ramp_start + 2 * kControlInterval;
   const double ramp_rate = completions.RateOver(follow_from, ramp_end);
   const double tail_rate = completions.RateOver(ramp_end + Seconds(1), load_end);
   const double follow_ratio = pre_ramp > 0 ? ramp_rate / pre_ramp : 0.0;
@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
       violations.total() == 0 && checker.finals() == load.operations();
   const bool followed =
       follow_ratio >= 5.0 && followed_after_ms >= 0 &&
-      followed_after_ms <= ToMillis(2 * orch_options.control_interval);
+      followed_after_ms <= ToMillis(2 * kControlInterval);
   const bool controller_acted = widens >= 1 && scale_outs >= 1;
   const bool sheds_decayed = load.sheds() > 0 && sheds_after_settle == 0;
   std::printf("oracle: %s (%lld/%lld completed); gates: followed=%s acted=%s"

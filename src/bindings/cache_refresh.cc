@@ -59,9 +59,12 @@ RefreshHook CacheWriteRefresh(ClientCache* cache) {
   };
 }
 
-OpResult CacheMultiLookup(ClientCache* cache, const std::vector<std::string>& keys) {
-  return JoinMultiLookup(
-      keys, [cache](const std::string& key) { return cache->Get(key); });
+OpResult CacheLookup(ClientCache* cache, const Operation& get) {
+  if (get.type != OpType::kMultiGet) {
+    return cache->Get(get.key).value_or(OpResult{});
+  }
+  return PackRead(WireShape::kBatch, get.keys.size(),
+                  [cache, &get](size_t i) { return cache->Get(get.keys[i]); });
 }
 
 }  // namespace icg

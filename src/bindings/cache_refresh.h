@@ -19,9 +19,10 @@ namespace icg {
 RefreshHook CacheReadRefresh(ClientCache* cache);
 RefreshHook CacheWriteRefresh(ClientCache* cache);
 
-// The cache-level view of a batched read: per-key lookups joined in request order
+// The cache-level view of a kGet or kMultiGet, packed like the store's answer: the cached
+// entry (a miss is found=false), or the per-key lookups joined in request order
 // (missing keys contribute empty parts; `found` only if every key hit, `seqno` = hits).
-OpResult CacheMultiLookup(ClientCache* cache, const std::vector<std::string>& keys);
+OpResult CacheLookup(ClientCache* cache, const Operation& get);
 
 }  // namespace icg
 

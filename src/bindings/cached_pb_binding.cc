@@ -8,68 +8,39 @@ InvocationPlan CachedPbBinding::PlanInvocation(const Operation& op, const LevelS
   InvocationPlan plan;
   switch (op.type) {
     case OpType::kGet:
+    case OpType::kMultiGet:
       if (levels.Contains(ConsistencyLevel::kCache)) {
         // Cache view: resolves synchronously. A miss is reported as found=false at the
         // CACHE level so the caller still sees one view per requested level.
         plan.AddStep(ConsistencyLevel::kCache,
                      [cache = cache_](const Operation& get, LevelEmitter emit) {
-                       emit(ConsistencyLevel::kCache, cache->Get(get.key).value_or(OpResult{}));
+                       emit(ConsistencyLevel::kCache, CacheLookup(cache, get));
                      });
       }
       if (levels.Contains(ConsistencyLevel::kWeak)) {
         plan.AddStep(ConsistencyLevel::kWeak,
                      [client = client_](const Operation& get, LevelEmitter emit) {
-                       client->ReadWeak(get.key, EmitAt(std::move(emit), ConsistencyLevel::kWeak));
+                       client->ReadWeak(ReadRequest::Of(get),
+                                        EmitAt(std::move(emit), ConsistencyLevel::kWeak));
                      });
       }
       if (levels.Contains(ConsistencyLevel::kStrong)) {
         plan.AddStep(ConsistencyLevel::kStrong,
                      [client = client_](const Operation& get, LevelEmitter emit) {
-                       client->ReadStrong(get.key,
+                       client->ReadStrong(ReadRequest::Of(get),
                                           EmitAt(std::move(emit), ConsistencyLevel::kStrong));
                      });
       }
       plan.refresh = CacheReadRefresh(cache_);
       return plan;
-    case OpType::kMultiGet:
-      // Batched read: the same per-level fan-out as kGet, each level one multi-key
-      // round-trip whose payload joins the per-key parts in request order.
-      if (levels.Contains(ConsistencyLevel::kCache)) {
-        plan.AddStep(ConsistencyLevel::kCache,
-                     [cache = cache_](const Operation& get, LevelEmitter emit) {
-                       emit(ConsistencyLevel::kCache, CacheMultiLookup(cache, get.keys));
-                     });
-      }
-      if (levels.Contains(ConsistencyLevel::kWeak)) {
-        plan.AddStep(ConsistencyLevel::kWeak,
-                     [client = client_](const Operation& get, LevelEmitter emit) {
-                       client->MultiReadWeak(get.keys,
-                                             EmitAt(std::move(emit), ConsistencyLevel::kWeak));
-                     });
-      }
-      if (levels.Contains(ConsistencyLevel::kStrong)) {
-        plan.AddStep(ConsistencyLevel::kStrong,
-                     [client = client_](const Operation& get, LevelEmitter emit) {
-                       client->MultiReadStrong(
-                           get.keys, EmitAt(std::move(emit), ConsistencyLevel::kStrong));
-                     });
-      }
-      plan.refresh = CacheReadRefresh(cache_);
-      return plan;
     case OpType::kPut:
+    case OpType::kMultiPut:
+      // A batched flush: the primary applies the entries in order and acknowledges once.
       plan.AddStep(levels.strongest(), [client = client_, level = levels.strongest()](
                                            const Operation& put, LevelEmitter emit) {
-        client->Write(put.key, put.value, EmitAt(std::move(emit), level));
+        client->Write(WriteRequest::Of(put), EmitAt(std::move(emit), level));
       });
       // Write-through: the pipeline refreshes the cache only when the store acknowledges.
-      plan.refresh = CacheWriteRefresh(cache_);
-      return plan;
-    case OpType::kMultiPut:
-      // Batched flush: the primary applies the entries in order and acknowledges once.
-      plan.AddStep(levels.strongest(), [client = client_, level = levels.strongest()](
-                                           const Operation& puts, LevelEmitter emit) {
-        client->MultiWrite(puts.keys, puts.values, EmitAt(std::move(emit), level));
-      });
       plan.refresh = CacheWriteRefresh(cache_);
       return plan;
     default:

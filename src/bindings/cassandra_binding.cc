@@ -23,36 +23,21 @@ InvocationPlan CassandraBinding::PlanInvocation(const Operation& op, const Level
                        emit(is_final ? strongest : ConsistencyLevel::kWeak, std::move(result),
                             kind);
                      };
-                     if (read.type == OpType::kGet) {
-                       client->Read(read.key, options, forward);
-                     } else {
-                       client->MultiRead(read.keys, options, forward);
-                     }
+                     client->Read(ReadRequest::Of(read), options, forward);
                    });
       return plan;
     }
     case OpType::kPut:
+    case OpType::kMultiPut:
       // Writes use W=1 (§6.2.1): a single acknowledgement, reported at the strongest
-      // requested level.
+      // requested level. A batched flush applies every entry in order (preserving per-key
+      // program order) and still acknowledges once.
       plan.AddStep(levels.strongest(), [client = client_, level = levels.strongest()](
                                            const Operation& put, LevelEmitter emit) {
-        client->Write(put.key, put.value,
+        client->Write(WriteRequest::Of(put),
                       [emit, level](StatusOr<OpResult> result, bool, ResponseKind kind) {
                         emit(level, std::move(result), kind);
-                      },
-                      put.timestamp);
-      });
-      return plan;
-    case OpType::kMultiPut:
-      // A batched flush: one submission applies every entry in order (preserving per-key
-      // program order) and acknowledges once, still at W=1.
-      plan.AddStep(levels.strongest(), [client = client_, level = levels.strongest()](
-                                           const Operation& puts, LevelEmitter emit) {
-        client->MultiWrite(puts.keys, puts.values,
-                           [emit, level](StatusOr<OpResult> result, bool, ResponseKind kind) {
-                             emit(level, std::move(result), kind);
-                           },
-                           puts.timestamps);
+                      });
       });
       return plan;
     default:

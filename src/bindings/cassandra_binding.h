@@ -34,8 +34,8 @@ class CassandraBinding : public Binding {
 
   InvocationPlan PlanInvocation(const Operation& op, const LevelSet& levels) override;
 
-  // The quorum store serves multigets (CoordinateMultiRead) and ordered multiputs
-  // (CoordinateMultiWrite), so the pipeline may widen batches across ticks.
+  // The quorum store serves multigets and ordered multiputs on the same paths as single
+  // keys, so the pipeline may widen batches across ticks.
   bool SupportsBatchedReads() const override { return true; }
   bool SupportsBatchedWrites() const override { return true; }
 

@@ -10,13 +10,14 @@ InvocationPlan PrimaryBackupBinding::PlanInvocation(const Operation& op,
       if (levels.Contains(ConsistencyLevel::kWeak)) {
         plan.AddStep(ConsistencyLevel::kWeak,
                      [client = client_](const Operation& get, LevelEmitter emit) {
-                       client->ReadWeak(get.key, EmitAt(std::move(emit), ConsistencyLevel::kWeak));
+                       client->ReadWeak(ReadRequest::Of(get),
+                                        EmitAt(std::move(emit), ConsistencyLevel::kWeak));
                      });
       }
       if (levels.Contains(ConsistencyLevel::kStrong)) {
         plan.AddStep(ConsistencyLevel::kStrong,
                      [client = client_](const Operation& get, LevelEmitter emit) {
-                       client->ReadStrong(get.key,
+                       client->ReadStrong(ReadRequest::Of(get),
                                           EmitAt(std::move(emit), ConsistencyLevel::kStrong));
                      });
       }
@@ -24,7 +25,7 @@ InvocationPlan PrimaryBackupBinding::PlanInvocation(const Operation& op,
     case OpType::kPut:
       plan.AddStep(levels.strongest(), [client = client_, level = levels.strongest()](
                                            const Operation& put, LevelEmitter emit) {
-        client->Write(put.key, put.value, EmitAt(std::move(emit), level));
+        client->Write(WriteRequest::Of(put), EmitAt(std::move(emit), level));
       });
       return plan;
     default:

@@ -41,6 +41,9 @@ class SmallVec {
   template <typename InputIt>
     requires(!std::is_integral_v<InputIt>)
   SmallVec(InputIt first, InputIt last) {
+    if constexpr (std::forward_iterator<InputIt>) {
+      reserve(static_cast<size_type>(std::distance(first, last)));
+    }
     for (; first != last; ++first) {
       push_back(*first);
     }

@@ -90,26 +90,94 @@ std::string JoinMultiValue(const std::vector<std::string>& parts) {
   return joined;
 }
 
-OpResult JoinMultiLookup(
-    const std::vector<std::string>& keys,
-    const std::function<std::optional<OpResult>(const std::string&)>& lookup) {
+ReadRequest ReadRequest::Get(std::string key) {
+  ReadRequest request;
+  request.keys.push_back(std::move(key));
+  return request;
+}
+
+ReadRequest ReadRequest::MultiGet(const std::vector<std::string>& keys) {
+  ReadRequest request;
+  request.keys = SmallVec<std::string, 1>(keys.begin(), keys.end());
+  request.shape = WireShape::kBatch;
+  return request;
+}
+
+ReadRequest ReadRequest::Of(const Operation& op) {
+  return op.type == OpType::kMultiGet ? MultiGet(op.keys) : Get(op.key);
+}
+
+int64_t ReadRequest::WireBytes() const {
+  if (shape == WireShape::kSingle) {
+    return kRequestHeaderBytes + static_cast<int64_t>(keys[0].size());
+  }
+  int64_t bytes = kRequestHeaderBytes;
+  for (const auto& key : keys) {
+    bytes += static_cast<int64_t>(key.size()) + 2;
+  }
+  return bytes;
+}
+
+WriteRequest WriteRequest::Put(std::string key, std::string value, SimTime timestamp) {
+  WriteRequest request;
+  request.writes.push_back(KeyWrite{std::move(key), std::move(value), Version{timestamp}});
+  return request;
+}
+
+WriteRequest WriteRequest::MultiPut(const std::vector<std::string>& keys,
+                                    const std::vector<std::string>& values,
+                                    const std::vector<SimTime>& timestamps) {
+  WriteRequest request;
+  request.shape = WireShape::kBatch;
+  if (keys.size() != values.size() || (!timestamps.empty() && timestamps.size() != keys.size())) {
+    return request;
+  }
+  request.writes.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const SimTime stamp = timestamps.empty() ? 0 : timestamps[i];
+    request.writes.push_back(KeyWrite{keys[i], values[i], Version{stamp}});
+  }
+  return request;
+}
+
+WriteRequest WriteRequest::Of(const Operation& op) {
+  return op.type == OpType::kMultiPut ? MultiPut(op.keys, op.values, op.timestamps)
+                                      : Put(op.key, op.value, op.timestamp);
+}
+
+int64_t WriteRequest::WireBytes() const {
+  int64_t bytes = kRequestHeaderBytes;
+  const int64_t separator = shape == WireShape::kBatch ? 2 : 0;  // after each key and value
+  for (const KeyWrite& write : writes) {
+    bytes += static_cast<int64_t>(write.key.size()) + separator +
+             static_cast<int64_t>(write.value.size()) + separator;
+  }
+  return bytes;
+}
+
+OpResult PackRead(WireShape shape, size_t count,
+                  const std::function<std::optional<OpResult>(size_t)>& part) {
+  if (shape == WireShape::kSingle) {
+    std::optional<OpResult> hit = part(0);
+    return hit.has_value() ? std::move(*hit) : OpResult{};
+  }
   OpResult joined;
   joined.found = true;
   joined.seqno = 0;
-  joined.key_found.reserve(keys.size());
-  joined.key_versions.reserve(keys.size());
-  std::vector<std::string> parts;
-  parts.reserve(keys.size());
-  for (const auto& key : keys) {
-    const std::optional<OpResult> hit = lookup(key);
+  joined.key_found.reserve(count);
+  joined.key_versions.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    if (i > 0) {
+      joined.value += kMultiValueSeparator;
+    }
+    const std::optional<OpResult> hit = part(i);
     if (!hit.has_value() || !hit->found) {
       joined.found = false;
       joined.key_found.push_back(false);
       joined.key_versions.push_back(Version{});
-      parts.emplace_back();
       continue;
     }
-    parts.push_back(hit->value);
+    joined.value += hit->value;
     joined.key_found.push_back(true);
     joined.key_versions.push_back(hit->version);
     joined.seqno++;
@@ -117,8 +185,22 @@ OpResult JoinMultiLookup(
       joined.version = hit->version;
     }
   }
-  joined.value = JoinMultiValue(parts);
   return joined;
+}
+
+OpResult PackWriteAck(WireShape shape, const SmallVec<KeyWrite, 1>& writes) {
+  OpResult ack;
+  ack.found = true;
+  ack.version = writes.back().version;
+  if (shape == WireShape::kBatch) {
+    ack.seqno = static_cast<int64_t>(writes.size());
+    ack.key_found.assign(writes.size(), true);
+    ack.key_versions.reserve(writes.size());
+    for (const KeyWrite& write : writes) {
+      ack.key_versions.push_back(write.version);
+    }
+  }
+  return ack;
 }
 
 std::vector<std::string> SplitMultiValue(const std::string& value, size_t count) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/small_vec.h"
 #include "src/common/types.h"
 
 namespace icg {
@@ -110,13 +111,66 @@ struct OpResult {
   std::string ToString() const;
 };
 
-// Builds a batched read result from per-key lookups, the one definition shared by every
-// multi-key responder (stores, client cache): payloads joined in key order, `found` =
-// every key found, `seqno` = keys found, `version` = freshest, and the per-key
-// found/version detail filled in. `lookup` returns nullopt for a missing key.
-OpResult JoinMultiLookup(
-    const std::vector<std::string>& keys,
-    const std::function<std::optional<OpResult>(const std::string&)>& lookup);
+// --- Key-value requests as the stores receive them -------------------------------------
+//
+// Every store serves a single-key Get/Put as the one-entry case of the batched
+// MultiGet/MultiPut: one read path and one write path. A request carries its entries
+// inline for the one-key case (a lone Get or Put allocates nothing for its container)
+// plus its wire shape, which picks only the byte formula and how the result is packed.
+
+enum class WireShape : uint8_t {
+  kSingle,  // Get/Put: the result is one key's OpResult
+  kBatch,   // MultiGet/MultiPut: a joined value with per-key found/version detail
+};
+
+// One write of a request. `version.timestamp` carries the client-assigned LWW stamp on
+// the way in (0 = none); the store replaces `version` with the version it applied. Only
+// the quorum store honours client stamps; the others stamp every write themselves.
+struct KeyWrite {
+  std::string key;
+  std::string value;
+  Version version;
+};
+
+struct ReadRequest {
+  SmallVec<std::string, 1> keys;
+  WireShape shape = WireShape::kSingle;
+
+  static ReadRequest Get(std::string key);
+  static ReadRequest MultiGet(const std::vector<std::string>& keys);
+  static ReadRequest Of(const Operation& op);  // a kGet or kMultiGet
+
+  // Client -> store request bytes.
+  int64_t WireBytes() const;
+};
+
+struct WriteRequest {
+  SmallVec<KeyWrite, 1> writes;  // applied in order: same-key writes keep program order
+  WireShape shape = WireShape::kSingle;
+
+  static WriteRequest Put(std::string key, std::string value, SimTime timestamp = 0);
+  // `timestamps` is empty or parallel to `keys`. Mismatched lists yield an empty
+  // request, which every store rejects with kInvalidArgument.
+  static WriteRequest MultiPut(const std::vector<std::string>& keys,
+                               const std::vector<std::string>& values,
+                               const std::vector<SimTime>& timestamps = {});
+  static WriteRequest Of(const Operation& op);  // a kPut or kMultiPut
+
+  // Client -> store request bytes of the keys and values (a store that honours client
+  // LWW stamps adds their bytes).
+  int64_t WireBytes() const;
+};
+
+// Packs a read's per-key answers in its wire shape. `part(i)` returns key i's result
+// (nullopt or found=false = a miss). kSingle: that one result, a miss being
+// found=false. kBatch: payloads joined in key order, `found` = every key found,
+// `seqno` = keys found, `version` = freshest, and the per-key found/version detail.
+OpResult PackRead(WireShape shape, size_t count,
+                  const std::function<std::optional<OpResult>(size_t)>& part);
+
+// The acknowledgement of an applied write request: `version` = the last applied
+// version; a batch adds `seqno` = entries and the per-entry found/version detail.
+OpResult PackWriteAck(WireShape shape, const SmallVec<KeyWrite, 1>& writes);
 
 // Wire-size constants shared by the simulated protocols. The paper reports ~270 B for a
 // ZooKeeper enqueue request+response pair and ~130 B for the extra preliminary response;

@@ -56,14 +56,14 @@ ControlAction OrchestratorPolicy::Decide(const ControlSample& sample) {
 
   // 1) Sustained sheds: the ring is refusing work — capacity before batching.
   if (shed_streak_ >= options_.shed_intervals_to_scale_out && sample.spare_replicas > 0 &&
-      sample.shards.size() < options_.max_coordinators) {
+      sample.shards.size() < kMaxCoordinators) {
     shed_streak_ = 0;
     return Emit(ControlActionKind::kScaleOut, 0);
   }
 
   // 2) Saturation: deep per-shard queues (or sheds with nothing to promote) — climb
   // the window ladder to cut msgs/op.
-  const size_t ladder = std::min(options_.window_ladder.size(), sample.window_ladder_size);
+  const size_t ladder = std::min(kWindowLadder.size(), sample.window_ladder_size);
   if ((per_shard >= options_.widen_outstanding_per_shard || shedding) &&
       sample.window_index + 1 < ladder) {
     return Emit(ControlActionKind::kWidenWindow, sample.window_index + 1);
@@ -95,13 +95,12 @@ ControlAction OrchestratorPolicy::Decide(const ControlSample& sample) {
 
 Orchestrator::Orchestrator(SimWorld* world, ShardedCassandraStack* stack,
                            OrchestratorOptions options)
-    : world_(world), stack_(stack), options_(options), policy_(options) {
+    : world_(world), stack_(stack), policy_(std::move(options)) {
   assert(world_ != nullptr && stack_ != nullptr);
-  assert(!options_.window_ladder.empty());
   // Join the ladder at the stack's current window (rung 0 if it is off-ladder).
   const SimDuration current = stack_->batch_window();
-  for (size_t i = 0; i < options_.window_ladder.size(); ++i) {
-    if (options_.window_ladder[i] == current) {
+  for (size_t i = 0; i < kWindowLadder.size(); ++i) {
+    if (kWindowLadder[i] == current) {
       window_index_ = i;
       break;
     }
@@ -127,7 +126,7 @@ void Orchestrator::Stop() {
 }
 
 void Orchestrator::ScheduleTick() {
-  tick_timer_ = world_->loop().Schedule(options_.control_interval, [this]() {
+  tick_timer_ = world_->loop().Schedule(kControlInterval, [this]() {
     tick_timer_ = 0;
     Tick();
     ScheduleTick();
@@ -146,7 +145,7 @@ ControlSample Orchestrator::Sample() {
   ControlSample sample;
   sample.ring_epoch = stack_->ring_epoch();
   sample.window_index = window_index_;
-  sample.window_ladder_size = options_.window_ladder.size();
+  sample.window_ladder_size = kWindowLadder.size();
 
   // Aggregate every endpoint's router: each client queues and sheds independently, and
   // the controller judges the deployment as a whole. InstallRing keeps all endpoints
@@ -166,7 +165,7 @@ ControlSample Orchestrator::Sample() {
 
   // Keyspace share per coordinator: seeded estimate, a pure function of the ring.
   const std::map<NodeId, double> shares = stack_->shard_map().PrimaryLoadEstimate(
-      options_.load_estimate_samples, options_.load_estimate_seed);
+      kLoadEstimateSamples, kLoadEstimateSeed);
   sample.shards.reserve(n_shards);
   for (size_t i = 0; i < n_shards; ++i) {
     ShardSignal signal;
@@ -203,7 +202,7 @@ void Orchestrator::Apply(const ControlAction& action, const ControlSample& sampl
     case ControlActionKind::kWidenWindow:
     case ControlActionKind::kShrinkWindow:
       window_index_ = action.detail;
-      stack_->SetBatchWindow(options_.window_ladder[window_index_]);
+      stack_->SetBatchWindow(kWindowLadder[window_index_]);
       Record(action.kind, action.detail, sample);
       break;
     case ControlActionKind::kScaleOut: {

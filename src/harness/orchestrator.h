@@ -22,13 +22,14 @@
 // the seed; the orchestrator oracle checks that two same-seed runs log the same actions
 // with EventLogFingerprint().
 //
-// The batch-window ladder defaults to {0, 1ms, 5ms, 20ms} — the BENCH_batch_window
+// The batch-window ladder is {0, 1ms, 5ms, 20ms} — the BENCH_batch_window
 // operating points, where msgs/op falls 6.31 -> 4.88 -> 3.19 -> 1.53 for a p50 cost of
 // a few ms: each widen step buys roughly a third fewer round-trips, so the controller
 // climbs under saturation and steps back down one rung at a time when idle.
 #ifndef ICG_HARNESS_ORCHESTRATOR_H_
 #define ICG_HARNESS_ORCHESTRATOR_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -79,12 +80,20 @@ struct ControlSample {
   size_t window_ladder_size = 0;
 };
 
+// Virtual time between control ticks. 250 ms gives the WAN topology (~90 ms worst RTT) a
+// full round trip of settling between consecutive decisions.
+inline constexpr SimDuration kControlInterval = Millis(250);
+// Batch-window rungs, ascending (see the file comment for where they come from).
+inline constexpr std::array<SimDuration, 4> kWindowLadder = {0, Millis(1), Millis(5),
+                                                             Millis(20)};
+// Upper bound on the coordinator ring the controller scales out to.
+inline constexpr size_t kMaxCoordinators = 64;
+// PrimaryLoadEstimate sampling (harness-side): a fixed count and seed keep the estimate a
+// pure function of the ring.
+inline constexpr int kLoadEstimateSamples = 128;
+inline constexpr uint64_t kLoadEstimateSeed = 42;
+
 struct OrchestratorOptions {
-  // Virtual time between control ticks. 250 ms gives the WAN topology (~90 ms worst
-  // RTT) a full round trip of settling between consecutive decisions.
-  SimDuration control_interval = Millis(250);
-  // Batch-window rungs, ascending (see file comment for the bench-derived default).
-  std::vector<SimDuration> window_ladder = {0, Millis(1), Millis(5), Millis(20)};
   // Hysteresis bands on mean outstanding-per-shard: widen at or above the high band,
   // shrink at or below the low band. The gap between them is what prevents the window
   // from oscillating when load sits between the rungs.
@@ -102,11 +111,6 @@ struct OrchestratorOptions {
   // counters before the next judgement.
   int cooldown_intervals = 2;
   size_t min_coordinators = 1;
-  size_t max_coordinators = 64;
-  // PrimaryLoadEstimate sampling (harness-side): fixed count + seed keep the estimate
-  // a pure function of the ring.
-  int load_estimate_samples = 128;
-  uint64_t load_estimate_seed = 42;
 };
 
 // The pure decision core. Holds only deterministic episode state (streaks, cooldown);
@@ -167,7 +171,7 @@ class Orchestrator {
   bool running() const { return running_; }
 
   size_t window_index() const { return window_index_; }
-  SimDuration current_window() const { return options_.window_ladder.at(window_index_); }
+  SimDuration current_window() const { return kWindowLadder.at(window_index_); }
   const OrchestratorPolicy& policy() const { return policy_; }
   const std::vector<OrchestratorEvent>& events() const { return events_; }
   int64_t ticks() const { return ticks_; }
@@ -186,7 +190,6 @@ class Orchestrator {
 
   SimWorld* world_;
   ShardedCassandraStack* stack_;
-  OrchestratorOptions options_;
   OrchestratorPolicy policy_;
 
   bool running_ = false;

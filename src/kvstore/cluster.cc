@@ -10,64 +10,31 @@ KvClient::KvClient(Network* network, NodeId id, KvReplica* coordinator)
   assert(coordinator_ != nullptr);
 }
 
-void KvClient::Read(const std::string& key, const ReadOptions& options, KvResponseFn respond) {
-  const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size());
+void KvClient::Read(ReadRequest request, const ReadOptions& options, KvResponseFn respond) {
+  const int64_t bytes = request.WireBytes();
   KvReplica* coordinator = coordinator_;
   const NodeId self = id_;
   network_->Send(id_, coordinator_->id(), bytes,
-                 [coordinator, self, key = std::string(key), options,
+                 [coordinator, self, request = std::move(request), options,
                   respond = std::move(respond)]() mutable {
-                   coordinator->CoordinateRead(self, key, options, std::move(respond));
+                   coordinator->CoordinateRead(self, std::move(request), options,
+                                               std::move(respond));
                  });
 }
 
-void KvClient::MultiRead(std::vector<std::string> keys, const ReadOptions& options,
-                         KvResponseFn respond) {
-  int64_t bytes = kRequestHeaderBytes;
-  for (const auto& key : keys) {
-    bytes += static_cast<int64_t>(key.size()) + 2;
+void KvClient::Write(WriteRequest request, KvResponseFn respond) {
+  int64_t bytes = request.WireBytes();
+  for (const KeyWrite& write : request.writes) {
+    if (write.version.timestamp != 0) {
+      bytes += 8;  // the client-assigned LWW stamp rides the wire too
+    }
   }
   KvReplica* coordinator = coordinator_;
   const NodeId self = id_;
   network_->Send(id_, coordinator_->id(), bytes,
-                 [coordinator, self, keys = std::move(keys), options,
+                 [coordinator, self, request = std::move(request),
                   respond = std::move(respond)]() mutable {
-                   coordinator->CoordinateMultiRead(self, std::move(keys), options,
-                                                    std::move(respond));
-                 });
-}
-
-void KvClient::Write(const std::string& key, std::string value, KvResponseFn respond,
-                     SimTime timestamp) {
-  const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size()) +
-                        static_cast<int64_t>(value.size()) + (timestamp != 0 ? 8 : 0);
-  KvReplica* coordinator = coordinator_;
-  const NodeId self = id_;
-  network_->Send(id_, coordinator_->id(), bytes,
-                 [coordinator, self, key = std::string(key), value = std::move(value), timestamp,
-                  respond = std::move(respond)]() mutable {
-                   coordinator->CoordinateWrite(self, key, std::move(value), std::move(respond),
-                                                timestamp);
-                 });
-}
-
-void KvClient::MultiWrite(std::vector<std::string> keys, std::vector<std::string> values,
-                          KvResponseFn respond, std::vector<SimTime> timestamps) {
-  int64_t bytes = kRequestHeaderBytes;
-  for (const auto& key : keys) {
-    bytes += static_cast<int64_t>(key.size()) + 2;
-  }
-  for (const auto& value : values) {
-    bytes += static_cast<int64_t>(value.size()) + 2;
-  }
-  bytes += static_cast<int64_t>(timestamps.size()) * 8;  // per-entry client stamps
-  KvReplica* coordinator = coordinator_;
-  const NodeId self = id_;
-  network_->Send(id_, coordinator_->id(), bytes,
-                 [coordinator, self, keys = std::move(keys), values = std::move(values),
-                  timestamps = std::move(timestamps), respond = std::move(respond)]() mutable {
-                   coordinator->CoordinateMultiWrite(self, std::move(keys), std::move(values),
-                                                     std::move(respond), std::move(timestamps));
+                   coordinator->CoordinateWrite(self, std::move(request), std::move(respond));
                  });
 }
 

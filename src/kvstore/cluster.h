@@ -20,19 +20,13 @@ class KvClient {
  public:
   KvClient(Network* network, NodeId id, KvReplica* coordinator);
 
-  void Read(const std::string& key, const ReadOptions& options, KvResponseFn respond);
-  void MultiRead(std::vector<std::string> keys, const ReadOptions& options,
-                 KvResponseFn respond);
-  // `timestamp` is the client-assigned LWW stamp (0 = let the coordinator stamp at
-  // apply time); client stamps keep one writer's program order intact across coordinator
-  // handoffs during live rebalancing.
-  void Write(const std::string& key, std::string value, KvResponseFn respond,
-             SimTime timestamp = 0);
-  // One request carrying several writes; the coordinator applies them in order and
-  // acknowledges once (cross-tick write batching). `timestamps` (when non-empty) is
-  // parallel to `keys`.
-  void MultiWrite(std::vector<std::string> keys, std::vector<std::string> values,
-                  KvResponseFn respond, std::vector<SimTime> timestamps = {});
+  // One request per call, in either wire shape; the request's shape sets the bytes on
+  // the client link.
+  void Read(ReadRequest request, const ReadOptions& options, KvResponseFn respond);
+  // Each write's `version.timestamp` is its client-assigned LWW stamp (0 = let the
+  // coordinator stamp at apply time); client stamps keep one writer's program order
+  // intact across coordinator handoffs during live rebalancing.
+  void Write(WriteRequest request, KvResponseFn respond);
 
   NodeId id() const { return id_; }
   NodeId coordinator_id() const { return coordinator_->id(); }

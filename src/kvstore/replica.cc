@@ -10,18 +10,40 @@
 
 namespace icg {
 
+namespace {
+
+// Extra service time for every key of a request past the first.
+SimDuration PerExtraKey(SimDuration per_key, size_t keys) {
+  return per_key * static_cast<SimDuration>(keys - 1);
+}
+
+// Packs per-key values in the request's wire shape, moving the payloads out.
+OpResult PackValues(WireShape shape, KvReplica::Values& values) {
+  return PackRead(shape, values.size(), [&values](size_t i) -> std::optional<OpResult> {
+    std::optional<VersionedValue>& value = values[i];
+    if (!value.has_value()) {
+      return std::nullopt;
+    }
+    OpResult result;
+    result.found = true;
+    result.value = std::move(value->value);
+    result.version = value->version;
+    return result;
+  });
+}
+
+}  // namespace
+
 KvReplica::KvReplica(Network* network, NodeId id, const KvConfig* config, const std::string& name)
     : network_(network),
       loop_(network->loop()),
       id_(id),
       config_(config),
-      service_(network->loop(), name) {
+      service_(network->loop(), name),
+      wal_(name + ".wal"),
+      snapshot_(name + ".snap") {
   assert(config_ != nullptr);
-  if (config_->durability) {
-    wal_ = std::make_unique<Wal>(name + ".wal");
-    wal_->SetFaults(WalFaults{config_->wal_fsync_service, config_->wal_torn_tail});
-    snapshot_ = std::make_unique<SnapshotManager>(name + ".snap");
-  }
+  wal_.SetFaults(WalFaults{config_->wal_fsync_service, config_->wal_torn_tail});
 }
 
 void KvReplica::SetPeers(std::vector<KvReplica*> peers) {
@@ -35,72 +57,73 @@ void KvReplica::SetPeers(std::vector<KvReplica*> peers) {
   });
 }
 
-OpResult KvReplica::ToOpResult(std::optional<VersionedValue> value) {
-  OpResult result;
-  if (value.has_value()) {
-    result.found = true;
-    result.value = std::move(value->value);
-    result.version = value->version;
-  }
-  return result;
-}
-
-void KvReplica::CoordinateRead(NodeId client_id, const std::string& key,
+void KvReplica::CoordinateRead(NodeId client_id, ReadRequest request,
                                const ReadOptions& options, KvResponseFn respond) {
   assert(options.read_quorum >= 1);
   if (crashed_) {
     return;  // in-flight request outlived the process; the client's timeout handles it
   }
+  if (request.keys.empty()) {
+    network_->Send(id_, client_id, kResponseHeaderBytes, [respond = std::move(respond)]() {
+      respond(Status::InvalidArgument("empty read request"), /*is_final=*/true,
+              ResponseKind::kValue);
+    });
+    return;
+  }
   const uint64_t request_id = next_request_id_++;
   PendingRead& read = pending_reads_[request_id];
   read.client_id = client_id;
-  read.key = key;
+  read.request = std::move(request);
   read.options = options;
   read.respond = std::move(respond);
+  const size_t key_count = read.request.keys.size();
+  for (size_t i = 0; i < key_count; ++i) {
+    read.local.emplace_back();
+  }
 
-  counters_.reads_coordinated++;
+  (read.request.shape == WireShape::kSingle ? counters_.reads_coordinated
+                                            : counters_.multireads_coordinated)++;
   if (options.want_preliminary) {
     counters_.icg_reads++;
   }
 
   // Fan out to peer replicas in parallel with the local read (only when a quorum > 1 is
   // required). Responses beyond the quorum feed read repair.
-  const int needed = options.read_quorum;
-  if (needed > 1) {
-    const size_t peer_count = std::min(peers_.size(), static_cast<size_t>(needed));
+  if (options.read_quorum > 1) {
+    const size_t peer_count = std::min(peers_.size(), static_cast<size_t>(options.read_quorum));
+    const int64_t req_bytes = read.request.WireBytes();
     for (size_t slot = 0; slot < peer_count; ++slot) {
       KvReplica* peer = peers_[slot];
-      read.peers_asked.push_back(peer->id());
-      read.peer_results.emplace_back(std::nullopt);
-      const int64_t req_bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size());
+      read.peers.push_back(PeerAsked{peer->id(), {}});
       network_->Send(id_, peer->id(), req_bytes,
-                     [this, peer, key = std::string(key), request_id, slot]() {
-        peer->HandlePeerRead(
-            id_, key, request_id,
-            [this, slot](uint64_t rid, std::optional<VersionedValue> value) {
-              auto it = pending_reads_.find(rid);
-              if (it == pending_reads_.end()) {
-                return;  // request already finished (late reply)
-              }
-              PendingRead& r = it->second;
-              if (!r.peer_results[slot].has_value() && value.has_value()) {
-                r.peer_results[slot] = std::move(value);
-              }
-              r.responses++;
-              MaybeFinishRead(rid);
-            });
+                     [this, peer, shape = read.request.shape, keys = read.request.keys,
+                      request_id, slot]() mutable {
+        peer->HandlePeerRead(id_, shape, std::move(keys), request_id,
+                             [this, slot](uint64_t rid, Values values) {
+                               auto it = pending_reads_.find(rid);
+                               if (it == pending_reads_.end()) {
+                                 return;  // request already finished (late reply)
+                               }
+                               it->second.peers[slot].values = std::move(values);
+                               it->second.responses++;
+                               MaybeFinishRead(rid);
+                             });
       });
     }
   }
 
   // Local read on the coordinator's service queue.
-  service_.Submit(config_->read_service, [this, request_id]() {
+  const SimDuration service =
+      config_->read_service + PerExtraKey(config_->multiread_per_key_service, key_count);
+  service_.Submit(service, [this, request_id]() {
     auto it = pending_reads_.find(request_id);
     if (it == pending_reads_.end()) {
       return;
     }
     PendingRead& r = it->second;
-    r.local = LocalGet(r.key);
+    for (size_t i = 0; i < r.local.size(); ++i) {
+      r.local[i] = LocalGet(r.request.keys[i]);
+    }
     r.responses++;
     if (r.options.want_preliminary) {
       // Preliminary flushing (§6.2.1): serializing and sending the early response costs
@@ -115,10 +138,9 @@ void KvReplica::CoordinateRead(NodeId client_id, const std::string& key,
           return;
         }
         r2.preliminary_sent = true;
-        r2.preliminary_digest =
-            r2.local.has_value() ? r2.local->ContentDigest() : ValueDigest("", 0);
+        r2.preliminary_digest = CombinedDigest(r2.local);
         counters_.preliminaries_sent++;
-        // A copy: the local value still takes part in the quorum merge.
+        // A copy: the local values still take part in the quorum merge.
         SendReadResponse(r2, r2.local, /*is_final=*/false, ResponseKind::kValue);
         MaybeFinishRead(request_id);
       });
@@ -169,49 +191,54 @@ void KvReplica::MaybeFinishRead(uint64_t request_id) {
 
 void KvReplica::FinishRead(PendingRead& read) {
   read.done = true;
-  std::optional<VersionedValue>& merged = MergedResult(read);
-
-  if (config_->read_repair && merged.has_value()) {
-    IssueReadRepair(read, *merged);
+  for (size_t i = 0; i < read.local.size(); ++i) {
+    std::optional<VersionedValue>* freshest = &read.local[i];
+    for (PeerAsked& peer : read.peers) {
+      if (i >= peer.values.size()) {
+        continue;  // not answered
+      }
+      std::optional<VersionedValue>& candidate = peer.values[i];
+      if (candidate.has_value() &&
+          (!freshest->has_value() || (*freshest)->OlderThan(candidate->version))) {
+        freshest = &candidate;
+      }
+    }
+    if (!freshest->has_value()) {
+      continue;
+    }
+    if (config_->read_repair) {
+      RepairKey(read, i, **freshest);
+    }
+    if (freshest != &read.local[i]) {
+      read.local[i] = std::move(*freshest);  // `local` becomes the merged view
+    }
   }
 
   ResponseKind kind = ResponseKind::kValue;
-  if (read.options.want_preliminary && read.options.confirmations &&
-      read.preliminary_digest.has_value()) {
-    const Digest final_digest =
-        merged.has_value() ? merged->ContentDigest() : ValueDigest("", 0);
-    if (final_digest == *read.preliminary_digest) {
+  if (read.options.want_preliminary) {
+    const bool matches = CombinedDigest(read.local) == read.preliminary_digest;
+    if (matches && read.options.confirmations) {
       kind = ResponseKind::kConfirmation;
       counters_.confirmations_sent++;
-    }
-  }
-  if (read.options.want_preliminary && kind == ResponseKind::kValue &&
-      read.preliminary_digest.has_value()) {
-    const Digest final_digest =
-        merged.has_value() ? merged->ContentDigest() : ValueDigest("", 0);
-    if (final_digest != *read.preliminary_digest) {
-      counters_.divergent_finals++;
     } else {
-      counters_.matching_finals++;
+      (matches ? counters_.matching_finals : counters_.divergent_finals)++;
     }
   }
-  if (kind == ResponseKind::kConfirmation) {
-    SendReadResponse(read, std::nullopt, /*is_final=*/true, kind);
-  } else {
-    SendReadResponse(read, std::move(merged), /*is_final=*/true, kind);
-  }
+  SendReadResponse(read, kind == ResponseKind::kValue ? std::move(read.local) : Values{},
+                   /*is_final=*/true, kind);
 }
 
-void KvReplica::SendReadResponse(PendingRead& read, std::optional<VersionedValue> value,
-                                 bool is_final, ResponseKind kind) {
-  int64_t bytes = 0;
+void KvReplica::SendReadResponse(PendingRead& read, Values values, bool is_final,
+                                 ResponseKind kind) {
+  // A confirmation carries no payload: the client library substitutes the preliminary.
+  int64_t bytes = kConfirmationBytes;
   OpResult result;
-  if (kind == ResponseKind::kConfirmation) {
-    bytes = kConfirmationBytes;
-    // The client library substitutes the preliminary value; the wire carries no payload.
-  } else {
-    result = ToOpResult(std::move(value));
+  if (kind == ResponseKind::kValue) {
+    result = PackValues(read.request.shape, values);
     bytes = result.WireBytes();
+    if (read.request.shape == WireShape::kBatch) {
+      bytes += 8 * static_cast<int64_t>(values.size());  // the per-key versions
+    }
   }
   network_->Send(id_, read.client_id, bytes,
                  [respond = is_final ? std::move(read.respond) : read.respond,
@@ -220,80 +247,38 @@ void KvReplica::SendReadResponse(PendingRead& read, std::optional<VersionedValue
                  });
 }
 
-std::optional<VersionedValue>& KvReplica::MergedResult(PendingRead& read) {
-  std::optional<VersionedValue>* best = &read.local;
-  for (auto& peer_value : read.peer_results) {
-    if (peer_value.has_value() &&
-        (!best->has_value() || (*best)->OlderThan(peer_value->version))) {
-      best = &peer_value;
-    }
-  }
-  return *best;
-}
-
-void KvReplica::IssueReadRepair(const PendingRead& read, const VersionedValue& freshest) {
+void KvReplica::RepairKey(const PendingRead& read, size_t index,
+                          const VersionedValue& freshest) {
   // Repair the coordinator's own copy synchronously (cheap local apply) and stale peers
   // asynchronously over the network.
-  if (!read.local.has_value() || read.local->OlderThan(freshest.version)) {
-    if (ApplyLww(read.key, freshest, /*log=*/true)) {
+  const std::string& key = read.request.keys[index];
+  const std::optional<VersionedValue>& local = read.local[index];
+  if (!local.has_value() || local->OlderThan(freshest.version)) {
+    if (ApplyLww(key, freshest.value, freshest.version, /*log=*/true)) {
       counters_.read_repairs++;
     }
   }
-  for (size_t i = 0; i < read.peer_results.size(); ++i) {
-    const auto& peer_value = read.peer_results[i];
-    const bool stale =
-        peer_value.has_value() ? peer_value->OlderThan(freshest.version) : false;
+  for (const PeerAsked& asked : read.peers) {
+    const bool stale = index < asked.values.size() && asked.values[index].has_value() &&
+                       asked.values[index]->OlderThan(freshest.version);
     if (!stale) {
       continue;
     }
-    KvReplica* peer = nullptr;
-    for (KvReplica* candidate : peers_) {
-      if (candidate->id() == read.peers_asked[i]) {
-        peer = candidate;
-        break;
-      }
-    }
-    if (peer == nullptr) {
+    const auto peer = std::find_if(peers_.begin(), peers_.end(),
+                                   [&asked](const KvReplica* p) { return p->id() == asked.id; });
+    if (peer == peers_.end()) {
       continue;
     }
-    const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(read.key.size()) +
+    const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size()) +
                           static_cast<int64_t>(freshest.value.size());
     counters_.read_repairs++;
-    network_->Send(id_, peer->id(), bytes, [peer, key = read.key, value = freshest]() mutable {
+    network_->Send(id_, asked.id, bytes, [peer = *peer, key = key, value = freshest]() mutable {
       peer->HandleReplicate(key, std::move(value));
     });
   }
 }
 
-OpResult KvReplica::ToMultiOpResult(const std::vector<std::optional<VersionedValue>>& values) {
-  OpResult result;
-  result.found = !values.empty();
-  result.key_found.reserve(values.size());
-  result.key_versions.reserve(values.size());
-  int64_t found_count = 0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) {
-      result.value += kMultiValueSeparator;
-    }
-    if (values[i].has_value()) {
-      result.value += values[i]->value;
-      found_count++;
-      result.key_found.push_back(true);
-      result.key_versions.push_back(values[i]->version);
-      if (result.version < values[i]->version) {
-        result.version = values[i]->version;
-      }
-    } else {
-      result.found = false;
-      result.key_found.push_back(false);
-      result.key_versions.push_back(Version{});
-    }
-  }
-  result.seqno = found_count;
-  return result;
-}
-
-Digest KvReplica::CombinedDigest(const std::vector<std::optional<VersionedValue>>& values) {
+Digest KvReplica::CombinedDigest(const Values& values) {
   Digest digest = 0xcbf29ce484222325ULL;
   for (const auto& value : values) {
     const Digest d = value.has_value() ? value->ContentDigest() : ValueDigest("", 0);
@@ -302,381 +287,113 @@ Digest KvReplica::CombinedDigest(const std::vector<std::optional<VersionedValue>
   return digest;
 }
 
-void KvReplica::CoordinateMultiRead(NodeId client_id, std::vector<std::string> keys,
-                                    const ReadOptions& options, KvResponseFn respond) {
-  assert(options.read_quorum >= 1);
-  assert(!keys.empty());
+void KvReplica::HandlePeerRead(NodeId requester, WireShape shape, SmallVec<std::string, 1> keys,
+                               uint64_t request_id,
+                               std::function<void(uint64_t, Values)> reply) {
   if (crashed_) {
     return;
   }
-  const uint64_t request_id = next_request_id_++;
-  PendingMultiRead& read = pending_multi_reads_[request_id];
-  read.client_id = client_id;
-  read.keys = std::move(keys);
-  read.options = options;
-  read.respond = std::move(respond);
-  read.local.assign(read.keys.size(), std::nullopt);
-
-  counters_.multireads_coordinated++;
-  const auto batch_extra =
-      config_->multiread_per_key_service * static_cast<SimDuration>(read.keys.size() - 1);
-
-  if (options.read_quorum > 1) {
-    const size_t peer_count =
-        std::min(peers_.size(), static_cast<size_t>(options.read_quorum));
-    for (size_t i = 0; i < peer_count; ++i) {
-      KvReplica* peer = peers_[i];
-      read.peers_asked.push_back(peer->id());
-      read.peer_results.emplace_back();
-      read.peer_answered.push_back(false);
-      const size_t slot = read.peer_results.size() - 1;
-      int64_t req_bytes = kRequestHeaderBytes;
-      for (const auto& key : read.keys) {
-        req_bytes += static_cast<int64_t>(key.size()) + 2;
+  const SimDuration service =
+      config_->peer_read_service + PerExtraKey(config_->multiread_per_key_service, keys.size());
+  service_.Submit(service, [this, requester, shape, keys = std::move(keys), request_id,
+                            reply = std::move(reply)]() mutable {
+    Values values;
+    int64_t bytes = kResponseHeaderBytes;
+    for (const std::string& key : keys) {
+      const std::optional<VersionedValue>& value = values.emplace_back(LocalGet(key));
+      if (value.has_value()) {
+        // A batch reply carries every found key's version as well.
+        bytes += static_cast<int64_t>(value->value.size()) + (shape == WireShape::kBatch ? 8 : 0);
       }
-      network_->Send(id_, peer->id(), req_bytes,
-                     [this, peer, request_keys = read.keys, request_id, slot]() mutable {
-                       peer->HandlePeerMultiRead(
-                           id_, std::move(request_keys), request_id,
-                           [this, slot](uint64_t rid,
-                                        std::vector<std::optional<VersionedValue>> values) {
-                             auto it = pending_multi_reads_.find(rid);
-                             if (it == pending_multi_reads_.end()) {
-                               return;
-                             }
-                             PendingMultiRead& r = it->second;
-                             if (!r.peer_answered[slot]) {
-                               r.peer_answered[slot] = true;
-                               r.peer_results[slot] = std::move(values);
-                               r.responses++;
-                               MaybeFinishMultiRead(rid);
-                             }
-                           });
-                     });
     }
-  }
-
-  service_.Submit(config_->read_service + batch_extra, [this, request_id]() {
-    auto it = pending_multi_reads_.find(request_id);
-    if (it == pending_multi_reads_.end()) {
-      return;
-    }
-    PendingMultiRead& r = it->second;
-    for (size_t i = 0; i < r.keys.size(); ++i) {
-      r.local[i] = LocalGet(r.keys[i]);
-    }
-    r.local_done = true;
-    r.responses++;
-    if (r.options.want_preliminary) {
-      service_.Submit(config_->flush_service, [this, request_id]() {
-        auto it2 = pending_multi_reads_.find(request_id);
-        if (it2 == pending_multi_reads_.end()) {
-          return;
-        }
-        PendingMultiRead& r2 = it2->second;
-        if (r2.done || r2.preliminary_sent) {
-          return;
-        }
-        r2.preliminary_sent = true;
-        r2.preliminary_digest = CombinedDigest(r2.local);
-        counters_.preliminaries_sent++;
-        SendMultiReadResponse(r2, r2.local, /*is_final=*/false, ResponseKind::kValue);
-        MaybeFinishMultiRead(request_id);
-      });
-    }
-    MaybeFinishMultiRead(request_id);
-  });
-
-  read.timeout_timer = loop_->Schedule(config_->read_timeout, [this, request_id]() {
-    auto it = pending_multi_reads_.find(request_id);
-    if (it == pending_multi_reads_.end()) {
-      return;
-    }
-    PendingMultiRead& r = it->second;
-    if (r.done) {
-      return;
-    }
-    r.done = true;
-    counters_.read_timeouts++;
-    network_->Send(id_, r.client_id, kResponseHeaderBytes, [respond = std::move(r.respond)]() {
-      respond(Status::Timeout("multiread quorum not reached"), /*is_final=*/true,
-              ResponseKind::kValue);
-    });
-    pending_multi_reads_.erase(it);
+    network_->Send(id_, requester, bytes,
+                   [reply = std::move(reply), request_id, values = std::move(values)]() mutable {
+                     reply(request_id, std::move(values));
+                   });
   });
 }
 
-void KvReplica::MaybeFinishMultiRead(uint64_t request_id) {
-  auto it = pending_multi_reads_.find(request_id);
-  if (it == pending_multi_reads_.end()) {
-    return;
-  }
-  PendingMultiRead& read = it->second;
-  if (read.done || read.responses < read.options.read_quorum || !read.local_done) {
-    return;
-  }
-  if (read.options.want_preliminary && !read.preliminary_sent) {
-    return;
-  }
-  FinishMultiRead(read);
-  loop_->Cancel(read.timeout_timer);
-  pending_multi_reads_.erase(request_id);
-}
-
-const std::vector<std::optional<VersionedValue>>& KvReplica::MergeMultiResult(
-    PendingMultiRead& read) {
-  std::vector<std::optional<VersionedValue>>& merged = read.local;
-  for (size_t p = 0; p < read.peer_results.size(); ++p) {
-    if (!read.peer_answered[p]) {
-      continue;
-    }
-    for (size_t i = 0; i < merged.size() && i < read.peer_results[p].size(); ++i) {
-      auto& candidate = read.peer_results[p][i];
-      if (candidate.has_value() &&
-          (!merged[i].has_value() || merged[i]->OlderThan(candidate->version))) {
-        merged[i] = std::move(candidate);
-      }
-    }
-  }
-  return merged;
-}
-
-void KvReplica::FinishMultiRead(PendingMultiRead& read) {
-  read.done = true;
-  const auto& merged = MergeMultiResult(read);
-
-  // Per-key read repair: bring stale copies (local and peers) up to the merged state.
-  if (config_->read_repair) {
-    for (size_t i = 0; i < merged.size(); ++i) {
-      if (!merged[i].has_value()) {
-        continue;
-      }
-      if (ApplyLww(read.keys[i], *merged[i], /*log=*/true)) {
-        counters_.read_repairs++;
-      }
-    }
-  }
-
-  ResponseKind kind = ResponseKind::kValue;
-  if (read.options.want_preliminary && read.preliminary_digest.has_value()) {
-    const Digest final_digest = CombinedDigest(merged);
-    const bool matches = final_digest == *read.preliminary_digest;
-    if (read.options.confirmations && matches) {
-      kind = ResponseKind::kConfirmation;
-      counters_.confirmations_sent++;
-    }
-    (matches ? counters_.matching_finals : counters_.divergent_finals)++;
-  }
-  SendMultiReadResponse(read, merged, /*is_final=*/true, kind);
-}
-
-void KvReplica::SendMultiReadResponse(PendingMultiRead& read,
-                                      const std::vector<std::optional<VersionedValue>>& values,
-                                      bool is_final, ResponseKind kind) {
-  int64_t bytes = 0;
-  OpResult result;
-  if (kind == ResponseKind::kConfirmation) {
-    bytes = kConfirmationBytes;
-  } else {
-    result = ToMultiOpResult(values);
-    bytes = result.WireBytes() + 8 * static_cast<int64_t>(values.size());
-  }
-  network_->Send(id_, read.client_id, bytes,
-                 [respond = is_final ? std::move(read.respond) : read.respond,
-                  result = std::move(result), is_final, kind]() mutable {
-                   respond(std::move(result), is_final, kind);
-                 });
-}
-
-void KvReplica::HandlePeerMultiRead(
-    NodeId requester, std::vector<std::string> keys, uint64_t request_id,
-    std::function<void(uint64_t, std::vector<std::optional<VersionedValue>>)> reply) {
+void KvReplica::CoordinateWrite(NodeId client_id, WriteRequest request, KvResponseFn respond) {
   if (crashed_) {
     return;
   }
-  const auto batch_extra =
-      config_->multiread_per_key_service * static_cast<SimDuration>(keys.size() - 1);
-  service_.Submit(config_->peer_read_service + batch_extra,
-                  [this, requester, keys = std::move(keys), request_id,
-                   reply = std::move(reply)]() mutable {
-                    std::vector<std::optional<VersionedValue>> values;
-                    values.reserve(keys.size());
-                    int64_t bytes = kResponseHeaderBytes;
-                    for (const auto& key : keys) {
-                      values.push_back(LocalGet(key));
-                      if (values.back().has_value()) {
-                        bytes += static_cast<int64_t>(values.back()->value.size()) + 8;
-                      }
-                    }
-                    network_->Send(id_, requester, bytes,
-                                   [reply = std::move(reply), request_id,
-                                    values = std::move(values)]() mutable {
-                                     reply(request_id, std::move(values));
-                                   });
-                  });
-}
-
-void KvReplica::CoordinateWrite(NodeId client_id, const std::string& key, std::string value,
-                                KvResponseFn respond, SimTime timestamp) {
-  if (crashed_) {
-    return;
-  }
-  counters_.writes_coordinated++;
-  service_.Submit(config_->write_service, [this, client_id, key = std::string(key),
-                                           value = std::move(value), timestamp,
-                                           respond = std::move(respond)]() mutable {
-    // Coordinator-assigned LWW timestamp; write_seq_ keeps it strictly monotonic even for
-    // same-microsecond writes, and the writer id breaks cross-coordinator ties. A client
-    // stamp overrides both fields: the stamp orders the writer's stream and the client id
-    // breaks ties, making the version independent of which coordinator applied it.
-    write_seq_ = std::max({static_cast<uint64_t>(loop_->Now()), write_seq_ + 1,
-                           static_cast<uint64_t>(timestamp)});
-    const Version version = timestamp != 0
-                                ? Version{timestamp, client_id}
-                                : Version{static_cast<SimTime>(write_seq_), id_};
-    VersionedValue vv{std::move(value), version};
-    ApplyLww(key, vv, /*log=*/false);
-
-    // WAL-before-ack: a coordinated write is logged and fsynced before the client hears
-    // about it — an acked write survives any kill -9 from here on. The fsync latency
-    // (when configured) is charged as extra service time between append and ack; a crash
-    // inside that window leaves a durable but *unacked* record — legal either way, since
-    // the client saw no ack, and Recover()'s anti-entropy push re-replicates it so the
-    // cluster still converges on one outcome. LWW apply may have rejected an older
-    // version above, but the record is logged unconditionally: the ack promises
-    // durability of the submission, and replay re-applies under the same LWW rule
-    // (idempotent, zero duplication).
-    SimDuration fsync = 0;
-    uint64_t lsn = 0;
-    if (wal_ != nullptr) {
-      lsn = wal_->Append(key, vv.value, version);
-      fsync = wal_->Sync();
-      MaybeScheduleSnapshot();
-    }
-
-    auto finish = [this, client_id, key = std::move(key), vv = std::move(vv), version, lsn,
-                   respond = std::move(respond)]() mutable {
-      // W = 1: acknowledge after the local apply (+ fsync when configured).
-      OpResult ack;
-      ack.found = true;
-      ack.version = version;
-      network_->Send(id_, client_id, kResponseHeaderBytes,
-                     [respond = std::move(respond), ack = std::move(ack)]() mutable {
-                       respond(std::move(ack), /*is_final=*/true, ResponseKind::kValue);
-                     });
-
-      // Asynchronous replication to the other replicas. The fan-out makes the record
-      // cluster-visible: snapshots may cover it from here on.
-      replicated_lsn_ = std::max(replicated_lsn_, lsn);
-      for (KvReplica* peer : peers_) {
-        const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size()) +
-                              static_cast<int64_t>(vv.value.size());
-        network_->Send(id_, peer->id(), bytes, [peer, key, vv]() mutable {
-          peer->HandleReplicate(key, std::move(vv));
-        });
-      }
-    };
-    if (fsync > 0) {
-      service_.Submit(fsync, std::move(finish));
-    } else {
-      finish();
-    }
-  });
-}
-
-void KvReplica::CoordinateMultiWrite(NodeId client_id, std::vector<std::string> keys,
-                                     std::vector<std::string> values, KvResponseFn respond,
-                                     std::vector<SimTime> timestamps) {
-  if (crashed_) {
-    return;
-  }
-  counters_.multi_writes_coordinated++;
-  if (keys.empty() || keys.size() != values.size() ||
-      (!timestamps.empty() && timestamps.size() != keys.size())) {
+  if (request.writes.empty()) {
     network_->Send(id_, client_id, kResponseHeaderBytes, [respond = std::move(respond)]() {
-      respond(Status::InvalidArgument("multiwrite needs matching non-empty key/value lists"),
+      respond(Status::InvalidArgument("empty or mismatched write request"),
               /*is_final=*/true, ResponseKind::kValue);
     });
     return;
   }
+  (request.shape == WireShape::kSingle ? counters_.writes_coordinated
+                                       : counters_.multi_writes_coordinated)++;
   const SimDuration service =
       config_->write_service +
-      static_cast<SimDuration>(keys.size() - 1) * config_->multiwrite_per_key_service;
-  service_.Submit(service, [this, client_id, keys = std::move(keys),
-                            values = std::move(values), timestamps = std::move(timestamps),
+      PerExtraKey(config_->multiwrite_per_key_service, request.writes.size());
+  // `shape` beside `client_id` and the writes unwrapped keep both closures within a
+  // service job's inline capacity.
+  service_.Submit(service, [this, client_id, shape = request.shape,
+                            writes = std::move(request.writes),
                             respond = std::move(respond)]() mutable {
-    OpResult ack;
-    ack.found = true;
-    ack.seqno = static_cast<int64_t>(keys.size());
-    ack.key_found.assign(keys.size(), true);
-    std::vector<VersionedValue> applied(keys.size());
-    uint64_t cohort_lsn = 0;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      const SimTime stamp = i < timestamps.size() ? timestamps[i] : 0;
+    uint64_t lsn = 0;
+    for (KeyWrite& write : writes) {
+      // Coordinator-assigned LWW timestamp; write_seq_ keeps it strictly monotonic even
+      // for same-microsecond writes, and the writer id breaks cross-coordinator ties. A
+      // client stamp overrides both fields: the stamp orders the writer's stream and the
+      // client id breaks ties, making the version independent of which coordinator
+      // applied it.
+      const SimTime stamp = write.version.timestamp;
       write_seq_ = std::max({static_cast<uint64_t>(loop_->Now()), write_seq_ + 1,
                              static_cast<uint64_t>(stamp)});
-      const Version version = stamp != 0 ? Version{stamp, client_id}
-                                         : Version{static_cast<SimTime>(write_seq_), id_};
-      ack.version = version;
-      ack.key_versions.push_back(version);
-      VersionedValue vv{std::move(values[i]), version};
-      ApplyLww(keys[i], vv, /*log=*/false);
-      if (wal_ != nullptr) {
-        cohort_lsn = wal_->Append(keys[i], vv.value, version);
-      }
-      applied[i] = std::move(vv);
-    }
-    // Group commit: the whole cohort shares one fsync, then one ack covers it — either
-    // every entry of an acked batch is durable or the crash predates the ack and the
-    // client-side cohort fails as a unit (no torn batch slice).
-    SimDuration fsync = 0;
-    if (wal_ != nullptr) {
-      fsync = wal_->Sync();
-      MaybeScheduleSnapshot();
+      write.version = stamp != 0 ? Version{stamp, client_id}
+                                 : Version{static_cast<SimTime>(write_seq_), id_};
+      ApplyLww(write.key, write.value, write.version, /*log=*/false);
+      lsn = wal_.Append(write.key, write.value, write.version);
     }
 
-    auto finish = [this, client_id, keys = std::move(keys), applied = std::move(applied),
-                   ack = std::move(ack), cohort_lsn, respond = std::move(respond)]() mutable {
-      // The cohort's fan-out makes every record of the batch cluster-visible.
-      replicated_lsn_ = std::max(replicated_lsn_, cohort_lsn);
-      for (size_t i = 0; i < keys.size(); ++i) {
+    // WAL-before-ack, with one group fsync per request: a coordinated request is logged
+    // and fsynced before the client hears about it — an acked write survives any kill -9
+    // from here on, and either every entry of an acked batch is durable or the crash
+    // predates the ack (no torn batch slice). The fsync latency (when configured) is
+    // charged as extra service time between append and ack; a crash inside that window
+    // leaves a durable but *unacked* record — legal either way, since the client saw no
+    // ack, and Recover()'s anti-entropy push re-replicates it so the cluster still
+    // converges on one outcome. LWW apply may have rejected an older version above, but
+    // the record is logged unconditionally: the ack promises durability of the
+    // submission, and replay re-applies under the same LWW rule (idempotent, zero
+    // duplication).
+    const SimDuration fsync = wal_.Sync();
+    MaybeScheduleSnapshot();
+
+    auto finish = [this, client_id, shape, writes = std::move(writes), lsn,
+                   respond = std::move(respond)]() mutable {
+      // W = 1: acknowledge after the local apply (+ fsync when configured).
+      network_->Send(id_, client_id, kResponseHeaderBytes,
+                     [respond = std::move(respond), ack = PackWriteAck(shape, writes)]() mutable {
+                       respond(std::move(ack), /*is_final=*/true, ResponseKind::kValue);
+                     });
+
+      // Asynchronous replication to the other replicas. The fan-out makes the request's
+      // records cluster-visible: snapshots may cover them from here on.
+      replicated_lsn_ = std::max(replicated_lsn_, lsn);
+      for (const KeyWrite& write : writes) {
         for (KvReplica* peer : peers_) {
-          const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(keys[i].size()) +
-                                static_cast<int64_t>(applied[i].value.size());
+          const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(write.key.size()) +
+                                static_cast<int64_t>(write.value.size());
           network_->Send(id_, peer->id(), bytes,
-                         [peer, key = keys[i], vv = applied[i]]() mutable {
+                         [peer, key = write.key,
+                          vv = VersionedValue{write.value, write.version}]() mutable {
                            peer->HandleReplicate(key, std::move(vv));
                          });
         }
       }
-      network_->Send(id_, client_id, kResponseHeaderBytes,
-                     [respond = std::move(respond), ack = std::move(ack)]() mutable {
-                       respond(std::move(ack), /*is_final=*/true, ResponseKind::kValue);
-                     });
     };
+    static_assert(EventLoop::Task::StoresInline<ServiceQueue::Job<decltype(finish)>>(),
+                  "a write's ack-and-fan-out job must not allocate");
     if (fsync > 0) {
       service_.Submit(fsync, std::move(finish));
     } else {
       finish();
     }
-  });
-}
-
-void KvReplica::HandlePeerRead(NodeId requester, const std::string& key, uint64_t request_id,
-                               std::function<void(uint64_t, std::optional<VersionedValue>)> reply) {
-  if (crashed_) {
-    return;
-  }
-  service_.Submit(config_->peer_read_service, [this, requester, key = std::string(key),
-                                               request_id, reply = std::move(reply)]() mutable {
-    std::optional<VersionedValue> value = LocalGet(key);
-    const int64_t bytes =
-        kResponseHeaderBytes +
-        (value.has_value() ? static_cast<int64_t>(value->value.size()) : 0);
-    network_->Send(id_, requester, bytes,
-                   [reply = std::move(reply), request_id, value = std::move(value)]() mutable {
-                     reply(request_id, std::move(value));
-                   });
   });
 }
 
@@ -686,7 +403,7 @@ void KvReplica::HandleReplicate(const std::string& key, VersionedValue incoming)
   }
   service_.Submit(config_->replicate_service,
                   [this, key = std::string(key), incoming = std::move(incoming)]() {
-    if (ApplyLww(key, incoming, /*log=*/true)) {
+    if (ApplyLww(key, incoming.value, incoming.version, /*log=*/true)) {
       counters_.replications_applied++;
     }
   });
@@ -726,20 +443,22 @@ void KvReplica::HandleBootstrap(
   });
 }
 
-bool KvReplica::ApplyLww(const std::string& key, const VersionedValue& incoming, bool log) {
-  const auto [entry, inserted] = storage_.try_emplace(key, incoming);
+bool KvReplica::ApplyLww(const std::string& key, const std::string& value, Version version,
+                         bool log) {
+  const auto [entry, inserted] = storage_.try_emplace(key, value, version);
   if (!inserted) {
-    if (!entry->second.OlderThan(incoming.version)) {
+    if (!entry->second.OlderThan(version)) {
       return false;
     }
-    entry->second = incoming;
+    entry->second.value = value;
+    entry->second.version = version;
   }
   MarkChanged(entry);
-  if (log && wal_ != nullptr) {
+  if (log) {
     // Lazy append: replicated/repaired state is logged but not fsynced — the unsynced
     // tail is recoverable from the peers that sent it, and it is what a torn-tail crash
     // tears. Only coordinated (acked) writes pay for a sync.
-    const uint64_t lsn = wal_->Append(key, incoming.value, incoming.version);
+    const uint64_t lsn = wal_.Append(key, value, version);
     // The value came from a cluster-visible source, so a snapshot may cover it at once.
     replicated_lsn_ = std::max(replicated_lsn_, lsn);
     MaybeScheduleSnapshot();
@@ -750,27 +469,27 @@ bool KvReplica::ApplyLww(const std::string& key, const VersionedValue& incoming,
 void KvReplica::MarkChanged(Store::const_iterator entry) {
   // Until a base exists the next snapshot rewrites the whole store, so there is nothing
   // to track; with snapshots off nothing ever is.
-  if (snapshot_ != nullptr && config_->snapshot_every > 0 && snapshot_->HasSnapshot()) {
+  if (config_->snapshot_every > 0 && snapshot_.HasSnapshot()) {
     changed_.push_back(entry);
   }
 }
 
 void KvReplica::MaybeScheduleSnapshot() {
-  if (wal_ == nullptr || config_->snapshot_every <= 0 || snapshot_in_flight_) {
+  if (config_->snapshot_every <= 0 || snapshot_in_flight_) {
     return;
   }
-  if (wal_->appended_records() - records_at_last_snapshot_ < config_->snapshot_every) {
+  if (wal_.appended_records() - records_at_last_snapshot_ < config_->snapshot_every) {
     return;
   }
   snapshot_in_flight_ = true;
   // The cut: entries changed up to here go into this snapshot, later ones into the next.
-  const uint64_t cut_lsn = wal_->next_lsn() - 1;
+  const uint64_t cut_lsn = wal_.next_lsn() - 1;
   cut_.swap(changed_);
   changed_.clear();
   std::sort(cut_.begin(), cut_.end(),
             [](Store::const_iterator a, Store::const_iterator b) { return a->first < b->first; });
   cut_.erase(std::unique(cut_.begin(), cut_.end()), cut_.end());
-  const bool base = snapshot_->NeedsBase(cut_.size());  // a rewrite covers every entry
+  const bool base = snapshot_.NeedsBase(cut_.size());  // a rewrite covers every entry
   const size_t entries = base ? storage_.size() : cut_.size();
   const SimDuration service =
       config_->snapshot_base_service +
@@ -786,16 +505,16 @@ void KvReplica::MaybeScheduleSnapshot() {
     // a record past the cut may belong to a key the delta does not hold.
     const uint64_t covered = std::min(replicated_lsn_, cut_lsn);
     if (base) {
-      snapshot_->Take(storage_, covered);
+      snapshot_.Take(storage_, covered);
       counters_.snapshot_entries_written += static_cast<int64_t>(storage_.size());
     } else {
-      snapshot_->TakeDelta(cut_, covered);
+      snapshot_.TakeDelta(cut_, covered);
       counters_.delta_snapshots++;
       counters_.snapshot_entries_written += static_cast<int64_t>(cut_.size());
     }
     cut_.clear();
-    records_at_last_snapshot_ = wal_->appended_records();
-    wal_->TruncateThrough(covered);
+    records_at_last_snapshot_ = wal_.appended_records();
+    wal_.TruncateThrough(covered);
     counters_.snapshots_taken++;
   });
 }
@@ -808,15 +527,11 @@ void KvReplica::Crash() {
   for (auto& [request_id, read] : pending_reads_) {
     loop_->Cancel(read.timeout_timer);
   }
-  for (auto& [request_id, read] : pending_multi_reads_) {
-    loop_->Cancel(read.timeout_timer);
-  }
   if (bootstrap_timer_ != 0) {
     loop_->Cancel(bootstrap_timer_);
     bootstrap_timer_ = 0;
   }
   pending_reads_.clear();
-  pending_multi_reads_.clear();
   changed_.clear();  // before storage_: the entries die with the process
   cut_.clear();
   storage_.clear();
@@ -824,9 +539,7 @@ void KvReplica::Crash() {
   snapshot_in_flight_ = false;
   bootstrap_pending_ = false;
   service_.CancelPending();  // queued work dies with the process
-  if (wal_ != nullptr) {
-    wal_->Crash();  // the device survives; the unsynced tail does not
-  }
+  wal_.Crash();  // the device survives; the unsynced tail does not
   counters_.crashes++;
 }
 
@@ -836,23 +549,21 @@ void KvReplica::Recover() {
   last_recovery_ = RecoveryStats{};
   uint64_t snapshot_lsn = 0;
   std::set<std::string> replayed_keys;
-  if (wal_ != nullptr) {
-    if (snapshot_->Load(&storage_, &snapshot_lsn)) {
-      last_recovery_.snapshot_entries = storage_.size();
-    }
-    const Wal::ReplayResult replay =
-        wal_->Replay(snapshot_lsn, [this, &replayed_keys](const Wal::Record& record) {
-          ApplyLww(record.key, VersionedValue{record.value, record.version}, /*log=*/false);
-          replayed_keys.insert(record.key);
-        });
-    last_recovery_.wal_records_replayed = replay.records;
-    last_recovery_.torn_tail = replay.torn_tail;
-    records_at_last_snapshot_ = wal_->appended_records();
-    // Restore the write clock past every stamp this replica may have issued or seen, so
-    // post-recovery coordinator stamps never regress below pre-crash acks.
-    for (const auto& [key, vv] : storage_) {
-      write_seq_ = std::max(write_seq_, static_cast<uint64_t>(vv.version.timestamp));
-    }
+  if (snapshot_.Load(&storage_, &snapshot_lsn)) {
+    last_recovery_.snapshot_entries = storage_.size();
+  }
+  const Wal::ReplayResult replay =
+      wal_.Replay(snapshot_lsn, [this, &replayed_keys](const Wal::Record& record) {
+        ApplyLww(record.key, record.value, record.version, /*log=*/false);
+        replayed_keys.insert(record.key);
+      });
+  last_recovery_.wal_records_replayed = replay.records;
+  last_recovery_.torn_tail = replay.torn_tail;
+  records_at_last_snapshot_ = wal_.appended_records();
+  // Restore the write clock past every stamp this replica may have issued or seen, so
+  // post-recovery coordinator stamps never regress below pre-crash acks.
+  for (const auto& [key, vv] : storage_) {
+    write_seq_ = std::max(write_seq_, static_cast<uint64_t>(vv.version.timestamp));
   }
   counters_.recoveries++;
   // Anti-entropy push: a record can be durable (fsynced) yet unreplicated — the crash
@@ -863,7 +574,7 @@ void KvReplica::Recover() {
   // finally propagate. Charged like serving a bootstrap dump of the same size.
   if (!peers_.empty() && !replayed_keys.empty()) {
     const uint64_t inc = incarnation_;
-    const uint64_t replayed_through = wal_ != nullptr ? wal_->next_lsn() - 1 : 0;
+    const uint64_t replayed_through = wal_.next_lsn() - 1;
     const SimDuration scan =
         config_->bootstrap_per_key_service * static_cast<SimDuration>(replayed_keys.size());
     service_.Submit(scan, [this, inc, replayed_through,
@@ -929,7 +640,7 @@ void KvReplica::StartBootstrap(size_t attempt) {
           service_.Submit(service, [this, inc, dump = std::move(dump)]() {
             uint64_t merged = 0;
             for (const auto& [key, vv] : dump) {
-              if (ApplyLww(key, vv, /*log=*/true)) {
+              if (ApplyLww(key, vv.value, vv.version, /*log=*/true)) {
                 merged += 1;
               }
             }
@@ -976,14 +687,11 @@ void KvReplica::LocalPut(const std::string& key, std::string value, Version vers
   const auto entry =
       storage_.insert_or_assign(key, VersionedValue{std::move(value), version}).first;
   MarkChanged(entry);
-  if (wal_ != nullptr) {
-    // Preloads are part of the durable dataset: log + sync so a crashed replica's
-    // recovered state includes them without leaning on the bootstrap. They are applied
-    // at every replica by construction, so they are cluster-visible immediately.
-    replicated_lsn_ =
-        std::max(replicated_lsn_, wal_->Append(key, entry->second.value, version));
-    wal_->Sync();
-  }
+  // Preloads are part of the durable dataset: log + sync so a crashed replica's recovered
+  // state includes them without leaning on the bootstrap. They are applied at every
+  // replica by construction, so they are cluster-visible immediately.
+  replicated_lsn_ = std::max(replicated_lsn_, wal_.Append(key, entry->second.value, version));
+  wal_.Sync();
 }
 
 }  // namespace icg

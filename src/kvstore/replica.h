@@ -1,13 +1,17 @@
 // A quorum-store replica (Cassandra-like), including the coordinator role.
 //
-// Any replica can coordinate client operations, exactly as in Cassandra:
+// Any replica can coordinate client operations, exactly as in Cassandra. There is one
+// read path and one write path; a single-key Get/Put is the one-entry case of the
+// batched MultiGet/MultiPut, and the request's WireShape only picks the byte formulas
+// and how the result is packed (one OpResult, or a joined value with per-key detail).
 //
-//   Read:  the coordinator performs a local read and, in parallel, requests data from
-//          peer replicas; it answers the client once `read_quorum` responses (including
-//          its own) are merged under last-writer-wins. Stale peers are read-repaired
-//          asynchronously.
-//   Write: acknowledged after the local apply (W = 1, the paper's configuration), then
-//          replicated to peers asynchronously.
+//   Read:  the coordinator reads its keys locally and, in parallel, asks min(peers, R)
+//          peer replicas; it answers the client once R responses (its own included, if
+//          it came in time) are merged per key under last-writer-wins. Stale copies —
+//          its own and the peers' — are read-repaired per key.
+//   Write: the entries apply locally in order, are appended to the WAL with one fsync
+//          per request, and are acknowledged once (W = 1, the paper's configuration);
+//          then every entry replicates to the peers asynchronously.
 //
 // Correctable Cassandra (CC) behaviour (§5.2 of the paper) is triggered per request:
 // when a read requests ICG, the coordinator *flushes a preliminary response* to the
@@ -21,7 +25,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -64,7 +67,6 @@ struct KvConfig {
   // The defaults keep the pre-durability event timeline bit-for-bit: appends are pure
   // in-memory bookkeeping (no events, no service time) and snapshots never trigger.
   // Crash/recovery tests and the failover bench opt into nonzero knobs.
-  bool durability = true;             // maintain the WAL + snapshot device
   SimDuration wal_fsync_service = 0;  // fsync charged between WAL append and write ack
   bool wal_torn_tail = false;         // crash may leave a torn partial record (faults)
   int64_t snapshot_every = 0;         // snapshot every N appended records (0 = never)
@@ -102,14 +104,14 @@ class KvReplica {
 
   // Event counts since construction (crashes do not reset them).
   struct Counters {
-    int64_t reads_coordinated = 0;
-    int64_t icg_reads = 0;  // reads that asked for a preliminary
-    int64_t multireads_coordinated = 0;
-    int64_t writes_coordinated = 0;
-    int64_t multi_writes_coordinated = 0;
+    int64_t reads_coordinated = 0;       // Get-shaped reads
+    int64_t multireads_coordinated = 0;  // MultiGet-shaped reads
+    int64_t icg_reads = 0;               // reads of either shape that asked for a preliminary
+    int64_t writes_coordinated = 0;        // Put-shaped writes
+    int64_t multi_writes_coordinated = 0;  // MultiPut-shaped writes
     int64_t preliminaries_sent = 0;
     int64_t confirmations_sent = 0;
-    int64_t matching_finals = 0;   // ICG finals equal to their preliminary
+    int64_t matching_finals = 0;   // ICG finals sent in full yet equal to their preliminary
     int64_t divergent_finals = 0;  // ICG finals that corrected their preliminary
     int64_t read_timeouts = 0;
     int64_t read_repairs = 0;
@@ -156,44 +158,33 @@ class KvReplica {
   };
   const RecoveryStats& last_recovery() const { return last_recovery_; }
 
-  // Durability observability (null iff KvConfig::durability is false).
-  Wal* wal() { return wal_.get(); }
-  SnapshotManager* snapshots() { return snapshot_.get(); }
+  // Durability observability: every replica keeps a WAL and a snapshot device (never
+  // null).
+  Wal* wal() { return &wal_; }
+  SnapshotManager* snapshots() { return &snapshot_; }
   // Store entries changed since the last snapshot cut, duplicates included (always 0
   // when snapshots are off).
   size_t changed_since_cut() const { return changed_.size(); }
 
   // --- Coordinator entry points (invoked at this node; client_id is the requester) ----
-  void CoordinateRead(NodeId client_id, const std::string& key, const ReadOptions& options,
+  // Reads every key of `request` under the same quorum/ICG options. The result is packed
+  // in the request's wire shape. An empty request fails with kInvalidArgument.
+  void CoordinateRead(NodeId client_id, ReadRequest request, const ReadOptions& options,
                       KvResponseFn respond);
-  // Batched read of several keys in one request (Cassandra multiget): same quorum/ICG
-  // semantics as CoordinateRead, applied to the whole batch. The result value joins the
-  // per-key payloads with kMultiValueSeparator.
-  void CoordinateMultiRead(NodeId client_id, std::vector<std::string> keys,
-                           const ReadOptions& options, KvResponseFn respond);
-  // `timestamp` != 0 is a client-assigned LWW stamp: the version becomes
-  // {timestamp, client_id}, so a single writer's stamps order its writes regardless of
-  // which coordinator applies them (live rebalancing moves keys between coordinators
+  // Applies the writes in order — same-key writes keep their program order — each under
+  // its own strictly increasing LWW version, then acknowledges once and replicates every
+  // entry asynchronously. A write whose `version.timestamp` is a client stamp gets the
+  // version {stamp, client_id}, so a single writer's stamps order its writes regardless
+  // of which coordinator applies them (live rebalancing moves keys between coordinators
   // mid-stream; apply-time stamping would let a backlogged old coordinator invert the
-  // order). 0 keeps the legacy coordinator-assigned stamp.
-  void CoordinateWrite(NodeId client_id, const std::string& key, std::string value,
-                       KvResponseFn respond, SimTime timestamp = 0);
-  // Batched write submission (cross-tick write batching): the entries apply locally in
-  // vector order — writes to the same key keep their program order — each under its own
-  // strictly increasing LWW version, then replicate asynchronously like single writes.
-  // One acknowledgement covers the whole batch (W = 1 semantics; `seqno` = batch size,
-  // `version` = the last version assigned). `timestamps` (when non-empty) carries the
-  // per-entry client stamps, parallel to `keys`.
-  void CoordinateMultiWrite(NodeId client_id, std::vector<std::string> keys,
-                            std::vector<std::string> values, KvResponseFn respond,
-                            std::vector<SimTime> timestamps = {});
+  // order). An empty request fails with kInvalidArgument.
+  void CoordinateWrite(NodeId client_id, WriteRequest request, KvResponseFn respond);
 
   // --- Peer-internal handlers (invoked at this node by other replicas) ----------------
-  void HandlePeerRead(NodeId requester, const std::string& key, uint64_t request_id,
-                      std::function<void(uint64_t, std::optional<VersionedValue>)> reply);
-  void HandlePeerMultiRead(
-      NodeId requester, std::vector<std::string> keys, uint64_t request_id,
-      std::function<void(uint64_t, std::vector<std::optional<VersionedValue>>)> reply);
+  // One slot per key of a request, in key order.
+  using Values = SmallVec<std::optional<VersionedValue>, 1>;
+  void HandlePeerRead(NodeId requester, WireShape shape, SmallVec<std::string, 1> keys,
+                      uint64_t request_id, std::function<void(uint64_t, Values)> reply);
   void HandleReplicate(const std::string& key, VersionedValue incoming);
   // Failure-detector probe: answers with `probe_id` after a small service charge. A
   // crashed replica never answers — missed probes are the detector's death signal.
@@ -210,70 +201,41 @@ class KvReplica {
   size_t LocalSize() const { return storage_.size(); }
 
  private:
+  struct PeerAsked {
+    NodeId id = kInvalidNode;
+    Values values;  // empty until the peer answers
+  };
   struct PendingRead {
     NodeId client_id = kInvalidNode;
-    std::string key;
+    ReadRequest request;
     ReadOptions options;
     KvResponseFn respond;
-    std::optional<VersionedValue> local;   // coordinator's own read, once served
-    // One slot per peer asked, min(peers, R): inline for CC2 and CC3 on three replicas.
-    SmallVec<std::optional<VersionedValue>, 2> peer_results;
-    SmallVec<NodeId, 2> peers_asked;
+    Values local;  // the coordinator's own read once served; nullopt slots before
+    // One entry per peer asked, min(peers, R): inline for CC2 and CC3 on three replicas.
+    SmallVec<PeerAsked, 2> peers;
     int responses = 0;  // local + peer responses received
     bool preliminary_sent = false;
-    std::optional<Digest> preliminary_digest;
-    bool done = false;
-    TimerId timeout_timer = 0;
-  };
-
-  struct PendingMultiRead {
-    NodeId client_id = kInvalidNode;
-    std::vector<std::string> keys;
-    ReadOptions options;
-    KvResponseFn respond;
-    bool local_done = false;
-    std::vector<std::optional<VersionedValue>> local;
-    std::vector<NodeId> peers_asked;
-    std::vector<std::vector<std::optional<VersionedValue>>> peer_results;
-    std::vector<bool> peer_answered;
-    int responses = 0;
-    bool preliminary_sent = false;
-    std::optional<Digest> preliminary_digest;
+    Digest preliminary_digest = 0;
     bool done = false;
     TimerId timeout_timer = 0;
   };
 
   void MaybeFinishRead(uint64_t request_id);
+  // Merges every response per key under LWW into `read.local`, repairing stale copies
+  // on the way, and sends the final view (or its confirmation).
   void FinishRead(PendingRead& read);
+  void RepairKey(const PendingRead& read, size_t index, const VersionedValue& freshest);
   // The final response takes `read.respond` (the read is erased right after); the
   // preliminary sends a copy.
-  void SendReadResponse(PendingRead& read, std::optional<VersionedValue> value, bool is_final,
-                        ResponseKind kind);
-  // LWW merge of all responses gathered so far: the winning slot, so the final view can
-  // move its value out.
-  static std::optional<VersionedValue>& MergedResult(PendingRead& read);
-  void IssueReadRepair(const PendingRead& read, const VersionedValue& freshest);
-
-  void MaybeFinishMultiRead(uint64_t request_id);
-  void FinishMultiRead(PendingMultiRead& read);
-  // LWW-merges the peer results into `read.local` (the read is about to finish) and
-  // returns it.
-  static const std::vector<std::optional<VersionedValue>>& MergeMultiResult(
-      PendingMultiRead& read);
-  void SendMultiReadResponse(PendingMultiRead& read,
-                             const std::vector<std::optional<VersionedValue>>& values,
-                             bool is_final, ResponseKind kind);
-
-  static OpResult ToOpResult(std::optional<VersionedValue> value);
-  static OpResult ToMultiOpResult(const std::vector<std::optional<VersionedValue>>& values);
-  static Digest CombinedDigest(const std::vector<std::optional<VersionedValue>>& values);
+  void SendReadResponse(PendingRead& read, Values values, bool is_final, ResponseKind kind);
+  static Digest CombinedDigest(const Values& values);
 
   using Store = SnapshotManager::Store;
 
   // LWW apply to local storage in one map lookup; returns true if the store changed.
   // Appends the applied record to the WAL when `log` says so (lazily — durability waits
   // for the next Sync).
-  bool ApplyLww(const std::string& key, const VersionedValue& incoming, bool log);
+  bool ApplyLww(const std::string& key, const std::string& value, Version version, bool log);
   // Notes a changed entry for the next delta snapshot.
   void MarkChanged(Store::const_iterator entry);
   // Snapshot cadence: once `snapshot_every` records accumulated past the last snapshot,
@@ -300,13 +262,12 @@ class KvReplica {
   std::vector<KvReplica*> peers_;  // other replicas, nearest first
   Store storage_;
   PendingMap<PendingRead> pending_reads_;
-  PendingMap<PendingMultiRead> pending_multi_reads_;
   uint64_t next_request_id_ = 1;
   uint64_t write_seq_ = 0;  // disambiguates same-microsecond writes from this coordinator
 
   // --- Durability & crash state --------------------------------------------------------
-  std::unique_ptr<Wal> wal_;               // survives Crash(), like the disk it models
-  std::unique_ptr<SnapshotManager> snapshot_;
+  Wal wal_;  // survives Crash(), like the disk it models
+  SnapshotManager snapshot_;
   bool crashed_ = false;
   uint64_t incarnation_ = 0;  // bumped per crash; stale async callbacks check and no-op
   bool snapshot_in_flight_ = false;

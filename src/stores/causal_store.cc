@@ -15,30 +15,17 @@ void CausalReplica::SetOriginIndex(int index, int num_replicas) {
   applied_clock_.assign(static_cast<size_t>(num_replicas), 0);
 }
 
-void CausalReplica::HandleRead(NodeId client_id, const std::string& key,
+void CausalReplica::HandleRead(NodeId client_id, ReadRequest request,
                                CausalResponseFn respond) {
-  service_.Submit(config_->read_service, [this, client_id, key, respond = std::move(respond)]() {
-    OpResult result;
-    if (auto it = storage_.find(key); it != storage_.end()) {
-      result.found = true;
-      result.value = it->second.value;
-      result.version = it->second.version;
-    }
-    network_->Send(id_, client_id, result.WireBytes(), [respond, result]() { respond(result); });
-  });
-}
-
-void CausalReplica::HandleMultiRead(NodeId client_id, std::vector<std::string> keys,
-                                    CausalResponseFn respond) {
   const SimDuration service =
-      config_->read_service + (keys.empty() ? 0
-                                            : static_cast<SimDuration>(keys.size() - 1) *
-                                                  config_->multi_per_key_service);
-  service_.Submit(service, [this, client_id, keys = std::move(keys),
-                            respond = std::move(respond)]() {
-    const OpResult result =
-        JoinMultiLookup(keys, [this](const std::string& key) -> std::optional<OpResult> {
-          auto it = storage_.find(key);
+      config_->read_service +
+      static_cast<SimDuration>(std::max<size_t>(request.keys.size(), 1) - 1) *
+          config_->multi_per_key_service;
+  service_.Submit(service, [this, client_id, request = std::move(request),
+                            respond = std::move(respond)]() mutable {
+    OpResult result =
+        PackRead(request.shape, request.keys.size(), [&](size_t i) -> std::optional<OpResult> {
+          auto it = storage_.find(request.keys[i]);
           if (it == storage_.end()) {
             return std::nullopt;
           }
@@ -48,7 +35,11 @@ void CausalReplica::HandleMultiRead(NodeId client_id, std::vector<std::string> k
           hit.version = it->second.version;
           return hit;
         });
-    network_->Send(id_, client_id, result.WireBytes(), [respond, result]() { respond(result); });
+    const int64_t bytes = result.WireBytes();
+    network_->Send(id_, client_id, bytes,
+                   [respond = std::move(respond), result = std::move(result)]() mutable {
+                     respond(std::move(result));
+                   });
   });
 }
 
@@ -76,41 +67,29 @@ Version CausalReplica::ApplyLocalWrite(const std::string& key, const std::string
   return version;
 }
 
-void CausalReplica::HandleWrite(NodeId client_id, const std::string& key, std::string value,
+void CausalReplica::HandleWrite(NodeId client_id, WriteRequest request,
                                 CausalResponseFn respond) {
-  service_.Submit(config_->write_service, [this, client_id, key, value = std::move(value),
-                                           respond = std::move(respond)]() mutable {
-    OpResult ack;
-    ack.found = true;
-    ack.version = ApplyLocalWrite(key, value);
-    network_->Send(id_, client_id, kResponseHeaderBytes, [respond, ack]() { respond(ack); });
-  });
-}
-
-void CausalReplica::HandleMultiWrite(NodeId client_id, std::vector<std::string> keys,
-                                     std::vector<std::string> values, CausalResponseFn respond) {
-  if (keys.empty() || keys.size() != values.size()) {
+  if (request.writes.empty()) {
     network_->Send(id_, client_id, kResponseHeaderBytes, [respond = std::move(respond)]() {
-      respond(Status::InvalidArgument("multiwrite needs matching non-empty key/value lists"));
+      respond(Status::InvalidArgument("empty or mismatched write request"));
     });
     return;
   }
   const SimDuration service =
       config_->write_service +
-      static_cast<SimDuration>(keys.size() - 1) * config_->multi_per_key_service;
-  service_.Submit(service, [this, client_id, keys = std::move(keys),
-                            values = std::move(values), respond = std::move(respond)]() mutable {
-    // Entries apply in vector order: each write's dependency snapshot includes its batch
-    // predecessors, so remote replicas preserve the batch's internal program order too.
-    OpResult ack;
-    ack.found = true;
-    ack.key_found.assign(keys.size(), true);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      ack.version = ApplyLocalWrite(keys[i], values[i]);
-      ack.key_versions.push_back(ack.version);
+      static_cast<SimDuration>(request.writes.size() - 1) * config_->multi_per_key_service;
+  service_.Submit(service, [this, client_id, request = std::move(request),
+                            respond = std::move(respond)]() mutable {
+    // Entries apply in order: each write's dependency snapshot includes its request
+    // predecessors, so remote replicas preserve a batch's internal program order too.
+    for (KeyWrite& write : request.writes) {
+      write.version = ApplyLocalWrite(write.key, write.value);
     }
-    ack.seqno = static_cast<int64_t>(keys.size());
-    network_->Send(id_, client_id, kResponseHeaderBytes, [respond, ack]() { respond(ack); });
+    network_->Send(id_, client_id, kResponseHeaderBytes,
+                   [respond = std::move(respond),
+                    ack = PackWriteAck(request.shape, request.writes)]() mutable {
+                     respond(std::move(ack));
+                   });
   });
 }
 
@@ -221,55 +200,25 @@ CausalClient::CausalClient(Network* network, NodeId id, CausalReplica* replica)
   assert(replica_ != nullptr);
 }
 
-void CausalClient::Read(const std::string& key, CausalResponseFn respond) {
-  const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size());
-  CausalReplica* replica = replica_;
-  const NodeId self = id_;
-  network_->Send(id_, replica_->id(), bytes, [replica, self, key, respond = std::move(respond)]() {
-    replica->HandleRead(self, key, respond);
-  });
-}
-
-void CausalClient::MultiRead(std::vector<std::string> keys, CausalResponseFn respond) {
-  int64_t bytes = kRequestHeaderBytes;
-  for (const auto& key : keys) {
-    bytes += static_cast<int64_t>(key.size()) + 2;
-  }
+void CausalClient::Read(ReadRequest request, CausalResponseFn respond) {
+  const int64_t bytes = request.WireBytes();
   CausalReplica* replica = replica_;
   const NodeId self = id_;
   network_->Send(id_, replica_->id(), bytes,
-                 [replica, self, keys = std::move(keys), respond = std::move(respond)]() mutable {
-                   replica->HandleMultiRead(self, std::move(keys), respond);
+                 [replica, self, request = std::move(request),
+                  respond = std::move(respond)]() mutable {
+                   replica->HandleRead(self, std::move(request), std::move(respond));
                  });
 }
 
-void CausalClient::MultiWrite(std::vector<std::string> keys, std::vector<std::string> values,
-                              CausalResponseFn respond) {
-  int64_t bytes = kRequestHeaderBytes;
-  for (const auto& key : keys) {
-    bytes += static_cast<int64_t>(key.size()) + 2;
-  }
-  for (const auto& value : values) {
-    bytes += static_cast<int64_t>(value.size()) + 2;
-  }
+void CausalClient::Write(WriteRequest request, CausalResponseFn respond) {
+  const int64_t bytes = request.WireBytes();
   CausalReplica* replica = replica_;
   const NodeId self = id_;
   network_->Send(id_, replica_->id(), bytes,
-                 [replica, self, keys = std::move(keys), values = std::move(values),
+                 [replica, self, request = std::move(request),
                   respond = std::move(respond)]() mutable {
-                   replica->HandleMultiWrite(self, std::move(keys), std::move(values), respond);
-                 });
-}
-
-void CausalClient::Write(const std::string& key, std::string value, CausalResponseFn respond) {
-  const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size()) +
-                        static_cast<int64_t>(value.size());
-  CausalReplica* replica = replica_;
-  const NodeId self = id_;
-  network_->Send(id_, replica_->id(), bytes,
-                 [replica, self, key, value = std::move(value),
-                  respond = std::move(respond)]() mutable {
-                   replica->HandleWrite(self, key, std::move(value), respond);
+                   replica->HandleWrite(self, std::move(request), std::move(respond));
                  });
 }
 

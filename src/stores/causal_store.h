@@ -6,6 +6,10 @@
 // apply in per-origin FIFO order and only once all their declared dependencies (the
 // origin's clock snapshot) are satisfied locally — the classic dependency-check scheme
 // (COPS/GentleRain style, simplified to full-replica dependency clocks).
+//
+// Each replica has one read handler and one write handler: a single-key Get/Put is the
+// one-entry case of the batched request, and the request's WireShape only picks the byte
+// formula and how the result is packed.
 #ifndef ICG_STORES_CAUSAL_STORE_H_
 #define ICG_STORES_CAUSAL_STORE_H_
 
@@ -45,17 +49,12 @@ class CausalReplica {
   // Dense index of this replica among all replicas (origin id in vector clocks).
   void SetOriginIndex(int index, int num_replicas);
 
-  void HandleRead(NodeId client_id, const std::string& key, CausalResponseFn respond);
-  // Batched read: one request, one response joining per-key payloads in request order.
-  void HandleMultiRead(NodeId client_id, std::vector<std::string> keys,
-                       CausalResponseFn respond);
-  void HandleWrite(NodeId client_id, const std::string& key, std::string value,
-                   CausalResponseFn respond);
-  // Batched write: applies the entries in vector order (each its own Lamport stamp and
-  // origin sequence number, so causal replication is per-write exactly as for singles),
-  // then acknowledges once for the whole batch.
-  void HandleMultiWrite(NodeId client_id, std::vector<std::string> keys,
-                        std::vector<std::string> values, CausalResponseFn respond);
+  // Answers every key of `request` in one response.
+  void HandleRead(NodeId client_id, ReadRequest request, CausalResponseFn respond);
+  // Applies the writes in order (each its own Lamport stamp and origin sequence number,
+  // so causal replication is per write), then acknowledges once. An empty request fails
+  // with kInvalidArgument.
+  void HandleWrite(NodeId client_id, WriteRequest request, CausalResponseFn respond);
 
   // Replication message: a write from `origin` with its per-origin sequence number and
   // the origin's dependency clock at emission time.
@@ -134,13 +133,8 @@ class CausalClient {
  public:
   CausalClient(Network* network, NodeId id, CausalReplica* replica);
 
-  void Read(const std::string& key, CausalResponseFn respond);
-  void Write(const std::string& key, std::string value, CausalResponseFn respond);
-
-  // Batched variants: one round-trip covering several keys (cross-tick batching).
-  void MultiRead(std::vector<std::string> keys, CausalResponseFn respond);
-  void MultiWrite(std::vector<std::string> keys, std::vector<std::string> values,
-                  CausalResponseFn respond);
+  void Read(ReadRequest request, CausalResponseFn respond);
+  void Write(WriteRequest request, CausalResponseFn respond);
 
   NodeId id() const { return id_; }
 

@@ -1,5 +1,6 @@
 #include "src/stores/pb_store.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -8,29 +9,16 @@ namespace icg {
 PbNode::PbNode(Network* network, NodeId id, const PbConfig* config, const std::string& name)
     : network_(network), id_(id), config_(config), service_(network->loop(), name) {}
 
-void PbNode::HandleRead(NodeId client_id, const std::string& key, PbResponseFn respond) {
-  service_.Submit(config_->read_service, [this, client_id, key, respond = std::move(respond)]() {
-    OpResult result;
-    if (auto it = storage_.find(key); it != storage_.end()) {
-      result.found = true;
-      result.value = it->second.value;
-      result.version = it->second.version;
-    }
-    network_->Send(id_, client_id, result.WireBytes(), [respond, result]() { respond(result); });
-  });
-}
-
-void PbNode::HandleMultiRead(NodeId client_id, std::vector<std::string> keys,
-                             PbResponseFn respond) {
+void PbNode::HandleRead(NodeId client_id, ReadRequest request, PbResponseFn respond) {
   const SimDuration service =
-      config_->read_service + (keys.empty() ? 0
-                                            : static_cast<SimDuration>(keys.size() - 1) *
-                                                  config_->multi_per_key_service);
-  service_.Submit(service, [this, client_id, keys = std::move(keys),
-                            respond = std::move(respond)]() {
-    const OpResult result =
-        JoinMultiLookup(keys, [this](const std::string& key) -> std::optional<OpResult> {
-          auto it = storage_.find(key);
+      config_->read_service +
+      static_cast<SimDuration>(std::max<size_t>(request.keys.size(), 1) - 1) *
+          config_->multi_per_key_service;
+  service_.Submit(service, [this, client_id, request = std::move(request),
+                            respond = std::move(respond)]() mutable {
+    OpResult result =
+        PackRead(request.shape, request.keys.size(), [&](size_t i) -> std::optional<OpResult> {
+          auto it = storage_.find(request.keys[i]);
           if (it == storage_.end()) {
             return std::nullopt;
           }
@@ -40,66 +28,46 @@ void PbNode::HandleMultiRead(NodeId client_id, std::vector<std::string> keys,
           hit.version = it->second.version;
           return hit;
         });
-    network_->Send(id_, client_id, result.WireBytes(), [respond, result]() { respond(result); });
+    const int64_t bytes = result.WireBytes();
+    network_->Send(id_, client_id, bytes,
+                   [respond = std::move(respond), result = std::move(result)]() mutable {
+                     respond(std::move(result));
+                   });
   });
 }
 
-void PbNode::HandleWrite(NodeId client_id, const std::string& key, std::string value,
-                         PbResponseFn respond) {
-  service_.Submit(config_->write_service, [this, client_id, key, value = std::move(value),
-                                           respond = std::move(respond)]() mutable {
-    write_seq_ = std::max(static_cast<uint64_t>(network_->loop()->Now()), write_seq_ + 1);
-    const Version version{static_cast<SimTime>(write_seq_), id_};
-    storage_[key] = Entry{value, version};
-
-    OpResult ack;
-    ack.found = true;
-    ack.version = version;
-    network_->Send(id_, client_id, kResponseHeaderBytes, [respond, ack]() { respond(ack); });
-
-    for (PbNode* backup : backups_) {
-      const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size()) +
-                            static_cast<int64_t>(value.size());
-      network_->Send(id_, backup->id(), bytes, [backup, key, value, version]() {
-        backup->ApplyReplicated(key, value, version);
-      });
-    }
-  });
-}
-
-void PbNode::HandleMultiWrite(NodeId client_id, std::vector<std::string> keys,
-                              std::vector<std::string> values, PbResponseFn respond) {
-  if (keys.empty() || keys.size() != values.size()) {
+void PbNode::HandleWrite(NodeId client_id, WriteRequest request, PbResponseFn respond) {
+  if (request.writes.empty()) {
     network_->Send(id_, client_id, kResponseHeaderBytes, [respond = std::move(respond)]() {
-      respond(Status::InvalidArgument("multiwrite needs matching non-empty key/value lists"));
+      respond(Status::InvalidArgument("empty or mismatched write request"));
     });
     return;
   }
   const SimDuration service =
       config_->write_service +
-      static_cast<SimDuration>(keys.size() - 1) * config_->multi_per_key_service;
-  service_.Submit(service, [this, client_id, keys = std::move(keys),
-                            values = std::move(values), respond = std::move(respond)]() mutable {
-    OpResult ack;
-    ack.found = true;
-    ack.seqno = static_cast<int64_t>(keys.size());
-    ack.key_found.assign(keys.size(), true);
-    for (size_t i = 0; i < keys.size(); ++i) {
+      static_cast<SimDuration>(request.writes.size() - 1) * config_->multi_per_key_service;
+  service_.Submit(service, [this, client_id, request = std::move(request),
+                            respond = std::move(respond)]() mutable {
+    for (KeyWrite& write : request.writes) {
       write_seq_ = std::max(static_cast<uint64_t>(network_->loop()->Now()), write_seq_ + 1);
-      const Version version{static_cast<SimTime>(write_seq_), id_};
-      ack.version = version;
-      ack.key_versions.push_back(version);
-      storage_[keys[i]] = Entry{values[i], version};
+      write.version = Version{static_cast<SimTime>(write_seq_), id_};
+      storage_[write.key] = Entry{write.value, write.version};
+    }
+    network_->Send(id_, client_id, kResponseHeaderBytes,
+                   [respond = std::move(respond),
+                    ack = PackWriteAck(request.shape, request.writes)]() mutable {
+                     respond(std::move(ack));
+                   });
+    for (const KeyWrite& write : request.writes) {
       for (PbNode* backup : backups_) {
-        const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(keys[i].size()) +
-                              static_cast<int64_t>(values[i].size());
+        const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(write.key.size()) +
+                              static_cast<int64_t>(write.value.size());
         network_->Send(id_, backup->id(), bytes,
-                       [backup, key = keys[i], value = values[i], version]() {
+                       [backup, key = write.key, value = write.value, version = write.version]() {
                          backup->ApplyReplicated(key, value, version);
                        });
       }
     }
-    network_->Send(id_, client_id, kResponseHeaderBytes, [respond, ack]() { respond(ack); });
   });
 }
 
@@ -129,70 +97,32 @@ PbClient::PbClient(Network* network, NodeId id, PbNode* primary, PbNode* backup)
   assert(primary_ != nullptr && backup_ != nullptr);
 }
 
-void PbClient::ReadFrom(PbNode* node, const std::string& key, PbResponseFn respond) {
-  const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size());
-  const NodeId self = id_;
-  network_->Send(id_, node->id(), bytes, [node, self, key, respond = std::move(respond)]() {
-    node->HandleRead(self, key, respond);
-  });
-}
-
-void PbClient::MultiReadFrom(PbNode* node, std::vector<std::string> keys,
-                             PbResponseFn respond) {
-  int64_t bytes = kRequestHeaderBytes;
-  for (const auto& key : keys) {
-    bytes += static_cast<int64_t>(key.size()) + 2;
-  }
+void PbClient::ReadFrom(PbNode* node, ReadRequest request, PbResponseFn respond) {
+  const int64_t bytes = request.WireBytes();
   const NodeId self = id_;
   network_->Send(id_, node->id(), bytes,
-                 [node, self, keys = std::move(keys), respond = std::move(respond)]() mutable {
-                   node->HandleMultiRead(self, std::move(keys), respond);
+                 [node, self, request = std::move(request),
+                  respond = std::move(respond)]() mutable {
+                   node->HandleRead(self, std::move(request), std::move(respond));
                  });
 }
 
-void PbClient::ReadWeak(const std::string& key, PbResponseFn respond) {
-  ReadFrom(backup_, key, std::move(respond));
+void PbClient::ReadWeak(ReadRequest request, PbResponseFn respond) {
+  ReadFrom(backup_, std::move(request), std::move(respond));
 }
 
-void PbClient::ReadStrong(const std::string& key, PbResponseFn respond) {
-  ReadFrom(primary_, key, std::move(respond));
+void PbClient::ReadStrong(ReadRequest request, PbResponseFn respond) {
+  ReadFrom(primary_, std::move(request), std::move(respond));
 }
 
-void PbClient::MultiReadWeak(std::vector<std::string> keys, PbResponseFn respond) {
-  MultiReadFrom(backup_, std::move(keys), std::move(respond));
-}
-
-void PbClient::MultiReadStrong(std::vector<std::string> keys, PbResponseFn respond) {
-  MultiReadFrom(primary_, std::move(keys), std::move(respond));
-}
-
-void PbClient::MultiWrite(std::vector<std::string> keys, std::vector<std::string> values,
-                          PbResponseFn respond) {
-  int64_t bytes = kRequestHeaderBytes;
-  for (const auto& key : keys) {
-    bytes += static_cast<int64_t>(key.size()) + 2;
-  }
-  for (const auto& value : values) {
-    bytes += static_cast<int64_t>(value.size()) + 2;
-  }
+void PbClient::Write(WriteRequest request, PbResponseFn respond) {
+  const int64_t bytes = request.WireBytes();
   PbNode* primary = primary_;
   const NodeId self = id_;
   network_->Send(id_, primary_->id(), bytes,
-                 [primary, self, keys = std::move(keys), values = std::move(values),
+                 [primary, self, request = std::move(request),
                   respond = std::move(respond)]() mutable {
-                   primary->HandleMultiWrite(self, std::move(keys), std::move(values), respond);
-                 });
-}
-
-void PbClient::Write(const std::string& key, std::string value, PbResponseFn respond) {
-  const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size()) +
-                        static_cast<int64_t>(value.size());
-  PbNode* primary = primary_;
-  const NodeId self = id_;
-  network_->Send(id_, primary_->id(), bytes,
-                 [primary, self, key, value = std::move(value),
-                  respond = std::move(respond)]() mutable {
-                   primary->HandleWrite(self, key, std::move(value), respond);
+                   primary->HandleWrite(self, std::move(request), std::move(respond));
                  });
 }
 

@@ -1,9 +1,12 @@
 // Primary-backup replicated key-value store: the storage scheme of the paper's Listing 7
 // binding example and the news-reader scenario (§4.4).
 //
-// Writes go to the primary, which applies them and propagates asynchronously to backups.
-// Weak reads hit the client's nearest backup (fresh on expectation, possibly stale);
-// strong reads hit the primary.
+// Writes go to the primary, which applies them, acknowledges, and propagates each
+// asynchronously to the backups. Weak reads hit the client's nearest backup (fresh on
+// expectation, possibly stale); strong reads hit the primary. Each node has one read
+// handler and one write handler: a single-key Get/Put is the one-entry case of the
+// batched request, and the request's WireShape only picks the byte formula and how the
+// result is packed.
 #ifndef ICG_STORES_PB_STORE_H_
 #define ICG_STORES_PB_STORE_H_
 
@@ -15,7 +18,6 @@
 #include <vector>
 
 #include "src/common/inline_function.h"
-#include "src/common/metrics.h"
 #include "src/common/status.h"
 #include "src/correctables/operation.h"
 #include "src/sim/network.h"
@@ -43,17 +45,11 @@ class PbNode {
   // On the primary: the backup set. On backups: empty.
   void SetBackups(std::vector<PbNode*> backups) { backups_ = std::move(backups); }
 
-  void HandleRead(NodeId client_id, const std::string& key, PbResponseFn respond);
-  // Batched read: one request, one response joining per-key payloads in request order
-  // (kMultiValueSeparator wire format; `found` = every key found, `seqno` = keys found).
-  void HandleMultiRead(NodeId client_id, std::vector<std::string> keys, PbResponseFn respond);
-  // Primary only: apply, ack, propagate.
-  void HandleWrite(NodeId client_id, const std::string& key, std::string value,
-                   PbResponseFn respond);
-  // Primary only: apply several writes in vector order (program order per key), one ack,
-  // propagate each to the backups.
-  void HandleMultiWrite(NodeId client_id, std::vector<std::string> keys,
-                        std::vector<std::string> values, PbResponseFn respond);
+  // Answers every key of `request` in one response.
+  void HandleRead(NodeId client_id, ReadRequest request, PbResponseFn respond);
+  // Primary only: apply the writes in order (program order per key), ack once, then
+  // propagate each to the backups. An empty request fails with kInvalidArgument.
+  void HandleWrite(NodeId client_id, WriteRequest request, PbResponseFn respond);
   // Backup side of asynchronous propagation.
   void ApplyReplicated(const std::string& key, std::string value, Version version);
 
@@ -82,21 +78,14 @@ class PbClient {
  public:
   PbClient(Network* network, NodeId id, PbNode* primary, PbNode* backup);
 
-  void ReadWeak(const std::string& key, PbResponseFn respond);    // nearest backup
-  void ReadStrong(const std::string& key, PbResponseFn respond);  // primary
-  void Write(const std::string& key, std::string value, PbResponseFn respond);
-
-  // Batched variants: one round-trip covering several keys (cross-tick batching).
-  void MultiReadWeak(std::vector<std::string> keys, PbResponseFn respond);
-  void MultiReadStrong(std::vector<std::string> keys, PbResponseFn respond);
-  void MultiWrite(std::vector<std::string> keys, std::vector<std::string> values,
-                  PbResponseFn respond);
+  void ReadWeak(ReadRequest request, PbResponseFn respond);    // nearest backup
+  void ReadStrong(ReadRequest request, PbResponseFn respond);  // primary
+  void Write(WriteRequest request, PbResponseFn respond);
 
   NodeId id() const { return id_; }
 
  private:
-  void ReadFrom(PbNode* node, const std::string& key, PbResponseFn respond);
-  void MultiReadFrom(PbNode* node, std::vector<std::string> keys, PbResponseFn respond);
+  void ReadFrom(PbNode* node, ReadRequest request, PbResponseFn respond);
 
   Network* network_;
   NodeId id_;

@@ -1,5 +1,8 @@
 // Quorum-store protocol tests: coordinator read/write paths, replication, read repair,
 // ICG preliminary flushing, confirmations, multireads, and crash behaviour.
+//
+// The single-key cases are SHAPED_TESTs: each runs as Get/Put and as a one-key
+// MultiGet/MultiPut, on a fresh cluster (tests/wire_shape.h).
 #include "src/kvstore/replica.h"
 
 #include <gtest/gtest.h>
@@ -11,11 +14,12 @@
 #include "src/kvstore/cluster.h"
 #include "src/sim/network.h"
 #include "src/sim/topology.h"
+#include "tests/wire_shape.h"
 
 namespace icg {
 namespace {
 
-class ReplicaTest : public ::testing::Test {
+class ReplicaTest : public WireShapeTest {
  protected:
   ReplicaTest()
       : topology_(RttMatrix::Ec2Default()),
@@ -27,10 +31,14 @@ class ReplicaTest : public ::testing::Test {
 
   // Convenience synchronous-style helpers driving the loop to completion.
   StatusOr<OpResult> Read(const std::string& key, int quorum) {
-    StatusOr<OpResult> out(Status::Internal("no response"));
     ReadOptions options;
     options.read_quorum = quorum;
-    client_->Read(key, options,
+    return Read(ReadOf(key), options);
+  }
+
+  StatusOr<OpResult> Read(ReadRequest request, const ReadOptions& options) {
+    StatusOr<OpResult> out(Status::Internal("no response"));
+    client_->Read(std::move(request), options,
                   [&](StatusOr<OpResult> r, bool is_final, ResponseKind) {
                     if (is_final) {
                       out = std::move(r);
@@ -42,7 +50,7 @@ class ReplicaTest : public ::testing::Test {
 
   StatusOr<OpResult> Write(const std::string& key, const std::string& value) {
     StatusOr<OpResult> out(Status::Internal("no response"));
-    client_->Write(key, value,
+    client_->Write(WriteOf(key, value),
                    [&](StatusOr<OpResult> r, bool, ResponseKind) { out = std::move(r); });
     loop_.Run();
     return out;
@@ -56,13 +64,13 @@ class ReplicaTest : public ::testing::Test {
   std::unique_ptr<KvClient> client_;
 };
 
-TEST_F(ReplicaTest, ReadMissingKeyReturnsNotFound) {
+SHAPED_TEST(ReplicaTest, ReadMissingKeyReturnsNotFound) {
   const auto result = Read("nope", 1);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->found);
 }
 
-TEST_F(ReplicaTest, PreloadedValueReadableAtAllQuorums) {
+SHAPED_TEST(ReplicaTest, PreloadedValueReadableAtAllQuorums) {
   cluster_.Preload("k", "v");
   for (const int quorum : {1, 2, 3}) {
     const auto result = Read("k", quorum);
@@ -71,7 +79,7 @@ TEST_F(ReplicaTest, PreloadedValueReadableAtAllQuorums) {
   }
 }
 
-TEST_F(ReplicaTest, WriteAcksWithVersion) {
+SHAPED_TEST(ReplicaTest, WriteAcksWithVersion) {
   const auto ack = Write("k", "v1");
   ASSERT_TRUE(ack.ok());
   EXPECT_TRUE(ack->found);
@@ -79,7 +87,7 @@ TEST_F(ReplicaTest, WriteAcksWithVersion) {
   EXPECT_EQ(ack->version.writer, client_->coordinator_id());
 }
 
-TEST_F(ReplicaTest, WriteReplicatesToAllReplicasEventually) {
+SHAPED_TEST(ReplicaTest, WriteReplicatesToAllReplicasEventually) {
   Write("k", "v1");
   loop_.RunFor(Seconds(1));
   for (const auto& replica : cluster_.replicas()) {
@@ -89,11 +97,11 @@ TEST_F(ReplicaTest, WriteReplicatesToAllReplicasEventually) {
   }
 }
 
-TEST_F(ReplicaTest, LastWriterWinsAcrossCoordinators) {
+SHAPED_TEST(ReplicaTest, LastWriterWinsAcrossCoordinators) {
   auto other_client = cluster_.MakeClient(Region::kVirginia, Region::kVirginia);
   Write("k", "first");
   bool done = false;
-  other_client->Write("k", "second",
+  other_client->Write(WriteOf("k", "second"),
                       [&](StatusOr<OpResult>, bool, ResponseKind) { done = true; });
   loop_.Run();
   ASSERT_TRUE(done);
@@ -103,7 +111,7 @@ TEST_F(ReplicaTest, LastWriterWinsAcrossCoordinators) {
   }
 }
 
-TEST_F(ReplicaTest, QuorumReadSeesFreshestReplica) {
+SHAPED_TEST(ReplicaTest, QuorumReadSeesFreshestReplica) {
   // Install a stale copy on the coordinator and a fresh one elsewhere.
   cluster_.Preload("k", "stale");
   cluster_.ReplicaIn(Region::kIreland)->LocalPut("k", "fresh", Version{999, 1});
@@ -113,7 +121,7 @@ TEST_F(ReplicaTest, QuorumReadSeesFreshestReplica) {
   EXPECT_EQ(strong->value, "fresh");  // quorum includes IRL
 }
 
-TEST_F(ReplicaTest, ReadRepairUpdatesCoordinator) {
+SHAPED_TEST(ReplicaTest, ReadRepairUpdatesCoordinator) {
   cluster_.Preload("k", "stale");
   cluster_.ReplicaIn(Region::kIreland)->LocalPut("k", "fresh", Version{999, 1});
   Read("k", 2);
@@ -121,7 +129,19 @@ TEST_F(ReplicaTest, ReadRepairUpdatesCoordinator) {
   EXPECT_EQ(cluster_.ReplicaIn(Region::kFrankfurt)->LocalGet("k")->value, "fresh");
 }
 
-TEST_F(ReplicaTest, ReadRepairDisabledLeavesStaleCopy) {
+SHAPED_TEST(ReplicaTest, ReadRepairUpdatesStalePeers) {
+  // The coordinator holds the fresh copy; both peers it asks are stale.
+  cluster_.Preload("k", "stale");
+  cluster_.ReplicaIn(Region::kFrankfurt)->LocalPut("k", "fresh", Version{999, 1});
+  Read("k", 3);
+  loop_.RunFor(Seconds(1));
+  for (const auto& replica : cluster_.replicas()) {
+    EXPECT_EQ(replica->LocalGet("k")->value, "fresh") << "replica " << replica->id();
+  }
+  EXPECT_EQ(cluster_.ReplicaIn(Region::kFrankfurt)->counters().read_repairs, 2);
+}
+
+SHAPED_TEST(ReplicaTest, ReadRepairDisabledLeavesStaleCopy) {
   config_.read_repair = false;
   cluster_.Preload("k", "stale");
   cluster_.ReplicaIn(Region::kIreland)->LocalPut("k", "fresh", Version{999, 1});
@@ -130,13 +150,13 @@ TEST_F(ReplicaTest, ReadRepairDisabledLeavesStaleCopy) {
   EXPECT_EQ(cluster_.ReplicaIn(Region::kFrankfurt)->LocalGet("k")->value, "stale");
 }
 
-TEST_F(ReplicaTest, IcgReadDeliversPreliminaryBeforeFinal) {
+SHAPED_TEST(ReplicaTest, IcgReadDeliversPreliminaryBeforeFinal) {
   cluster_.Preload("k", "v");
   ReadOptions options;
   options.read_quorum = 2;
   options.want_preliminary = true;
   std::vector<bool> finality;
-  client_->Read("k", options, [&](StatusOr<OpResult> r, bool is_final, ResponseKind) {
+  client_->Read(ReadOf("k"), options, [&](StatusOr<OpResult> r, bool is_final, ResponseKind) {
     ASSERT_TRUE(r.ok());
     finality.push_back(is_final);
   });
@@ -144,14 +164,14 @@ TEST_F(ReplicaTest, IcgReadDeliversPreliminaryBeforeFinal) {
   EXPECT_EQ(finality, (std::vector<bool>{false, true}));
 }
 
-TEST_F(ReplicaTest, IcgConfirmationWhenPreliminaryMatches) {
+SHAPED_TEST(ReplicaTest, IcgConfirmationWhenPreliminaryMatches) {
   cluster_.Preload("k", "v");
   ReadOptions options;
   options.read_quorum = 2;
   options.want_preliminary = true;
   options.confirmations = true;
   ResponseKind final_kind = ResponseKind::kValue;
-  client_->Read("k", options, [&](StatusOr<OpResult>, bool is_final, ResponseKind kind) {
+  client_->Read(ReadOf("k"), options, [&](StatusOr<OpResult>, bool is_final, ResponseKind kind) {
     if (is_final) {
       final_kind = kind;
     }
@@ -161,7 +181,7 @@ TEST_F(ReplicaTest, IcgConfirmationWhenPreliminaryMatches) {
   EXPECT_EQ(cluster_.ReplicaIn(Region::kFrankfurt)->counters().confirmations_sent, 1);
 }
 
-TEST_F(ReplicaTest, IcgFullFinalWhenDiverged) {
+SHAPED_TEST(ReplicaTest, IcgFullFinalWhenDiverged) {
   cluster_.Preload("k", "stale");
   cluster_.ReplicaIn(Region::kIreland)->LocalPut("k", "fresh", Version{999, 1});
   ReadOptions options;
@@ -170,28 +190,30 @@ TEST_F(ReplicaTest, IcgFullFinalWhenDiverged) {
   options.confirmations = true;
   ResponseKind final_kind = ResponseKind::kConfirmation;
   std::string final_value;
-  client_->Read("k", options, [&](StatusOr<OpResult> r, bool is_final, ResponseKind kind) {
-    if (is_final) {
-      final_kind = kind;
-      final_value = r->value;
-    }
-  });
+  client_->Read(ReadOf("k"), options,
+                [&](StatusOr<OpResult> r, bool is_final, ResponseKind kind) {
+                  if (is_final) {
+                    final_kind = kind;
+                    final_value = r->value;
+                  }
+                });
   loop_.Run();
   EXPECT_EQ(final_kind, ResponseKind::kValue);
   EXPECT_EQ(final_value, "fresh");
   EXPECT_EQ(cluster_.ReplicaIn(Region::kFrankfurt)->counters().divergent_finals, 1);
 }
 
-TEST_F(ReplicaTest, QuorumTimesOutWhenPeersCrashed) {
+SHAPED_TEST(ReplicaTest, QuorumTimesOutWhenPeersCrashed) {
   cluster_.Preload("k", "v");
   network_.Crash(cluster_.ReplicaIn(Region::kIreland)->id());
   network_.Crash(cluster_.ReplicaIn(Region::kVirginia)->id());
   const auto result = Read("k", 2);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(cluster_.ReplicaIn(Region::kFrankfurt)->counters().read_timeouts, 1);
 }
 
-TEST_F(ReplicaTest, R2SurvivesOneCrash) {
+SHAPED_TEST(ReplicaTest, R2SurvivesOneCrash) {
   cluster_.Preload("k", "v");
   network_.Crash(cluster_.ReplicaIn(Region::kVirginia)->id());
   const auto result = Read("k", 2);
@@ -199,7 +221,7 @@ TEST_F(ReplicaTest, R2SurvivesOneCrash) {
   EXPECT_EQ(result->value, "v");
 }
 
-TEST_F(ReplicaTest, WeakReadUnaffectedByRemoteCrashes) {
+SHAPED_TEST(ReplicaTest, WeakReadUnaffectedByRemoteCrashes) {
   cluster_.Preload("k", "v");
   network_.Crash(cluster_.ReplicaIn(Region::kIreland)->id());
   network_.Crash(cluster_.ReplicaIn(Region::kVirginia)->id());
@@ -208,19 +230,33 @@ TEST_F(ReplicaTest, WeakReadUnaffectedByRemoteCrashes) {
   EXPECT_EQ(result->value, "v");
 }
 
+SHAPED_TEST(ReplicaTest, StrongReadFinishesOnAnyRReplies) {
+  // The coordinator's queue is busy for 500 ms, far past both peers' replies: a strong
+  // read with R = 2 completes on the two peer responses without its own local read.
+  cluster_.Preload("k", "v");
+  KvReplica* frk = cluster_.ReplicaIn(Region::kFrankfurt);
+  frk->service_queue().Submit(Millis(500), [] {});
+  SimTime finished_at = 0;
+  ReadOptions options;
+  options.read_quorum = 2;
+  client_->Read(ReadOf("k"), options, [&](StatusOr<OpResult> r, bool is_final, ResponseKind) {
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->value, "v");
+    if (is_final) {
+      finished_at = loop_.Now();
+    }
+  });
+  loop_.Run();
+  EXPECT_GT(finished_at, 0);
+  EXPECT_LT(finished_at, Millis(500));
+}
+
 TEST_F(ReplicaTest, MultiReadReturnsJoinedValues) {
   cluster_.Preload("a", "va");
   cluster_.Preload("b", "vb");
-  StatusOr<OpResult> out(Status::Internal("none"));
   ReadOptions options;
   options.read_quorum = 2;
-  client_->MultiRead({"a", "b"}, options,
-                     [&](StatusOr<OpResult> r, bool is_final, ResponseKind) {
-                       if (is_final) {
-                         out = std::move(r);
-                       }
-                     });
-  loop_.Run();
+  const auto out = Read(ReadRequest::MultiGet({"a", "b"}), options);
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->found);
   EXPECT_EQ(out->seqno, 2);  // both found
@@ -229,16 +265,9 @@ TEST_F(ReplicaTest, MultiReadReturnsJoinedValues) {
 
 TEST_F(ReplicaTest, MultiReadMissingKeyClearsFound) {
   cluster_.Preload("a", "va");
-  StatusOr<OpResult> out(Status::Internal("none"));
   ReadOptions options;
   options.read_quorum = 1;
-  client_->MultiRead({"a", "missing"}, options,
-                     [&](StatusOr<OpResult> r, bool is_final, ResponseKind) {
-                       if (is_final) {
-                         out = std::move(r);
-                       }
-                     });
-  loop_.Run();
+  const auto out = Read(ReadRequest::MultiGet({"a", "missing"}), options);
   ASSERT_TRUE(out.ok());
   EXPECT_FALSE(out->found);
   EXPECT_EQ(out->seqno, 1);
@@ -249,18 +278,40 @@ TEST_F(ReplicaTest, MultiReadMergesPerKeyAcrossReplicas) {
   cluster_.Preload("b", "stale-b");
   cluster_.ReplicaIn(Region::kIreland)->LocalPut("a", "fresh-a", Version{999, 1});
   cluster_.ReplicaIn(Region::kVirginia)->LocalPut("b", "fresh-b", Version{999, 2});
-  StatusOr<OpResult> out(Status::Internal("none"));
   ReadOptions options;
   options.read_quorum = 3;
-  client_->MultiRead({"a", "b"}, options,
-                     [&](StatusOr<OpResult> r, bool is_final, ResponseKind) {
-                       if (is_final) {
-                         out = std::move(r);
-                       }
-                     });
-  loop_.Run();
+  const auto out = Read(ReadRequest::MultiGet({"a", "b"}), options);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->value, std::string("fresh-a") + kMultiValueSeparator + "fresh-b");
+}
+
+TEST_F(ReplicaTest, MultiReadRepairsEveryStaleCopyPerKey) {
+  // Each key is fresh on a different replica; every other copy of it is stale.
+  cluster_.Preload("a", "stale-a");
+  cluster_.Preload("b", "stale-b");
+  cluster_.ReplicaIn(Region::kIreland)->LocalPut("a", "fresh-a", Version{999, 1});
+  cluster_.ReplicaIn(Region::kVirginia)->LocalPut("b", "fresh-b", Version{999, 2});
+  ReadOptions options;
+  options.read_quorum = 3;
+  Read(ReadRequest::MultiGet({"a", "b"}), options);
+  loop_.RunFor(Seconds(1));
+  for (const auto& replica : cluster_.replicas()) {
+    EXPECT_EQ(replica->LocalGet("a")->value, "fresh-a") << "replica " << replica->id();
+    EXPECT_EQ(replica->LocalGet("b")->value, "fresh-b") << "replica " << replica->id();
+  }
+}
+
+TEST_F(ReplicaTest, EmptyRequestsRejected) {
+  ReadOptions options;
+  options.read_quorum = 2;
+  EXPECT_EQ(Read(ReadRequest::MultiGet({}), options).status().code(),
+            StatusCode::kInvalidArgument);
+  StatusOr<OpResult> ack(Status::Internal("no response"));
+  client_->Write(WriteRequest::MultiPut({"a", "b"}, {"1"}),
+                 [&](StatusOr<OpResult> r, bool, ResponseKind) { ack = std::move(r); });
+  loop_.Run();
+  EXPECT_EQ(ack.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(cluster_.ReplicaIn(Region::kFrankfurt)->counters().multi_writes_coordinated, 0);
 }
 
 TEST_F(ReplicaTest, MultiReadIcgConfirmation) {
@@ -271,29 +322,27 @@ TEST_F(ReplicaTest, MultiReadIcgConfirmation) {
   options.want_preliminary = true;
   options.confirmations = true;
   std::vector<ResponseKind> kinds;
-  client_->MultiRead({"a", "b"}, options,
-                     [&](StatusOr<OpResult>, bool, ResponseKind kind) {
-                       kinds.push_back(kind);
-                     });
+  client_->Read(ReadRequest::MultiGet({"a", "b"}), options,
+                [&](StatusOr<OpResult>, bool, ResponseKind kind) { kinds.push_back(kind); });
   loop_.Run();
   ASSERT_EQ(kinds.size(), 2u);
   EXPECT_EQ(kinds[0], ResponseKind::kValue);
   EXPECT_EQ(kinds[1], ResponseKind::kConfirmation);
 }
 
-TEST_F(ReplicaTest, ConcurrentReadsIndependent) {
+SHAPED_TEST(ReplicaTest, ConcurrentReadsIndependent) {
   cluster_.Preload("a", "va");
   cluster_.Preload("b", "vb");
   std::string got_a;
   std::string got_b;
   ReadOptions options;
   options.read_quorum = 2;
-  client_->Read("a", options, [&](StatusOr<OpResult> r, bool is_final, ResponseKind) {
+  client_->Read(ReadOf("a"), options, [&](StatusOr<OpResult> r, bool is_final, ResponseKind) {
     if (is_final) {
       got_a = r->value;
     }
   });
-  client_->Read("b", options, [&](StatusOr<OpResult> r, bool is_final, ResponseKind) {
+  client_->Read(ReadOf("b"), options, [&](StatusOr<OpResult> r, bool is_final, ResponseKind) {
     if (is_final) {
       got_b = r->value;
     }
@@ -303,18 +352,21 @@ TEST_F(ReplicaTest, ConcurrentReadsIndependent) {
   EXPECT_EQ(got_b, "vb");
 }
 
-TEST_F(ReplicaTest, CoordinatorMetricsCount) {
+SHAPED_TEST(ReplicaTest, CoordinatorMetricsCount) {
   cluster_.Preload("k", "v");
   Read("k", 2);
   Write("k", "v2");
   const KvReplica::Counters& counters = cluster_.ReplicaIn(Region::kFrankfurt)->counters();
-  EXPECT_EQ(counters.reads_coordinated, 1);
-  EXPECT_EQ(counters.writes_coordinated, 1);
+  const bool single = shape_ == WireShape::kSingle;
+  EXPECT_EQ(counters.reads_coordinated, single ? 1 : 0);
+  EXPECT_EQ(counters.multireads_coordinated, single ? 0 : 1);
+  EXPECT_EQ(counters.writes_coordinated, single ? 1 : 0);
+  EXPECT_EQ(counters.multi_writes_coordinated, single ? 0 : 1);
 }
 
 // --- Crash & recovery (WAL + snapshot durability) --------------------------------------
 
-TEST_F(ReplicaTest, CrashWipesVolatileStateAndDropsNewTraffic) {
+SHAPED_TEST(ReplicaTest, CrashWipesVolatileStateAndDropsNewTraffic) {
   Write("k", "v1");
   KvReplica* frk = cluster_.ReplicaIn(Region::kFrankfurt);
   EXPECT_EQ(frk->incarnation(), 0u);
@@ -326,14 +378,14 @@ TEST_F(ReplicaTest, CrashWipesVolatileStateAndDropsNewTraffic) {
   EXPECT_FALSE(frk->LocalGet("k").has_value());
   // A write aimed at the corpse vanishes: no response, no state, no crash.
   bool responded = false;
-  client_->Write("k", "v2",
+  client_->Write(WriteOf("k", "v2"),
                  [&](StatusOr<OpResult>, bool, ResponseKind) { responded = true; });
   loop_.Run();
   EXPECT_FALSE(responded);
   EXPECT_EQ(frk->LocalSize(), 0u);
 }
 
-TEST_F(ReplicaTest, RecoverRestoresAckedWriteFromWalAfterTotalClusterCrash) {
+SHAPED_TEST(ReplicaTest, RecoverRestoresAckedWriteFromWalAfterTotalClusterCrash) {
   // Every replica dies, so nothing survives in volatile state or in-flight replication:
   // the acked write must come back from the coordinator's synced WAL alone.
   const auto ack = Write("k", "v1");
@@ -358,13 +410,13 @@ TEST_F(ReplicaTest, RecoverRestoresAckedWriteFromWalAfterTotalClusterCrash) {
   EXPECT_TRUE(frk->last_recovery().bootstrap_complete);
 }
 
-TEST_F(ReplicaTest, CrashBeforeAckLosesNothingAcknowledged) {
+SHAPED_TEST(ReplicaTest, CrashBeforeAckLosesNothingAcknowledged) {
   // The client's write dies with the coordinator before any ack: after recovery the
   // store must NOT contain it (it was never acknowledged, losing it is correct — and
   // resurrecting half of a dead in-flight op would be wrong).
   KvReplica* frk = cluster_.ReplicaIn(Region::kFrankfurt);
   bool responded = false;
-  client_->Write("k", "v1",
+  client_->Write(WriteOf("k", "v1"),
                  [&](StatusOr<OpResult>, bool, ResponseKind) { responded = true; });
   // Crash before the loop runs: the request is still on the wire (sent pre-crash, so it
   // delivers) and the entry guard drops it.
@@ -574,11 +626,12 @@ KvReplica* BurstPastADeltaCut(EventLoop& loop, KvCluster& cluster, KvClient& cli
     cluster.Preload("p" + std::to_string(i), "v");
   }
   KvReplica* frk = cluster.ReplicaIn(Region::kFrankfurt);
-  client.Write("base", "v", [](StatusOr<OpResult>, bool, ResponseKind) {});
+  client.Write(WriteRequest::Put("base", "v"), [](StatusOr<OpResult>, bool, ResponseKind) {});
   loop.Run();
   EXPECT_EQ(frk->snapshots()->base_entries(), 11u);
   for (int i = 0; i < 6; ++i) {
-    client.Write("k" + std::to_string(i), "v", [](StatusOr<OpResult>, bool, ResponseKind) {});
+    client.Write(WriteRequest::Put("k" + std::to_string(i), "v"),
+                 [](StatusOr<OpResult>, bool, ResponseKind) {});
   }
   while (frk->counters().delta_snapshots == 0 && loop.RunOne()) {
   }
@@ -633,7 +686,7 @@ TEST_F(ReplicaTest, SnapshotNeverCoversAnUnreplicatedRecord) {
   }
 }
 
-TEST_F(ReplicaTest, WriteVersionsStayMonotoneAcrossRecovery) {
+SHAPED_TEST(ReplicaTest, WriteVersionsStayMonotoneAcrossRecovery) {
   const auto first = Write("k", "v1");
   ASSERT_TRUE(first.ok());
   KvReplica* frk = cluster_.ReplicaIn(Region::kFrankfurt);
@@ -653,8 +706,8 @@ TEST_F(ReplicaTest, MultiWriteGroupCommitSurvivesTotalCrashAtomically) {
   // One cohort, one fsync: either the whole batch is durable or none of it. After the
   // ack the whole batch must replay.
   StatusOr<OpResult> ack(Status::Internal("none"));
-  client_->MultiWrite({"a", "b", "c"}, {"1", "2", "3"},
-                      [&](StatusOr<OpResult> r, bool, ResponseKind) { ack = std::move(r); });
+  client_->Write(WriteRequest::MultiPut({"a", "b", "c"}, {"1", "2", "3"}),
+                 [&](StatusOr<OpResult> r, bool, ResponseKind) { ack = std::move(r); });
   loop_.Run();
   ASSERT_TRUE(ack.ok());
   for (const auto& replica : cluster_.replicas()) {

@@ -1,13 +1,17 @@
+// Causal store and client cache tests. The single-key store cases are SHAPED_TESTs:
+// each runs as Get/Put and as a one-key MultiGet/MultiPut, on a fresh cluster
+// (tests/wire_shape.h).
 #include "src/stores/causal_store.h"
 
 #include <gtest/gtest.h>
 
 #include "src/sim/network.h"
+#include "tests/wire_shape.h"
 
 namespace icg {
 namespace {
 
-class CausalStoreTest : public ::testing::Test {
+class CausalStoreTest : public WireShapeTest {
  protected:
   CausalStoreTest()
       : topology_(RttMatrix::Ec2Default()),
@@ -22,32 +26,32 @@ class CausalStoreTest : public ::testing::Test {
   CausalCluster cluster_;
 };
 
-TEST_F(CausalStoreTest, ReadOwnWriteAtOriginReplica) {
+SHAPED_TEST(CausalStoreTest, ReadOwnWriteAtOriginReplica) {
   auto client = cluster_.MakeClient(Region::kIreland, Region::kIreland);
   bool acked = false;
-  client->Write("k", "v", [&](StatusOr<OpResult>) { acked = true; });
+  client->Write(WriteOf("k", "v"), [&](StatusOr<OpResult>) { acked = true; });
   loop_.Run();
   ASSERT_TRUE(acked);
   StatusOr<OpResult> read(Status::Internal("none"));
-  client->Read("k", [&](StatusOr<OpResult> r) { read = std::move(r); });
+  client->Read(ReadOf("k"), [&](StatusOr<OpResult> r) { read = std::move(r); });
   loop_.Run();
   EXPECT_EQ(read->value, "v");
 }
 
-TEST_F(CausalStoreTest, WritesPropagateToAllReplicas) {
+SHAPED_TEST(CausalStoreTest, WritesPropagateToAllReplicas) {
   auto client = cluster_.MakeClient(Region::kIreland, Region::kIreland);
-  client->Write("k", "v", [](StatusOr<OpResult>) {});
+  client->Write(WriteOf("k", "v"), [](StatusOr<OpResult>) {});
   loop_.Run();
   for (const Region r : {Region::kFrankfurt, Region::kVirginia}) {
     EXPECT_EQ(cluster_.ReplicaIn(r)->LocalGet("k").value(), "v");
   }
 }
 
-TEST_F(CausalStoreTest, PerOriginFifoOrder) {
+SHAPED_TEST(CausalStoreTest, PerOriginFifoOrder) {
   auto client = cluster_.MakeClient(Region::kIreland, Region::kIreland);
-  client->Write("k", "v1", [](StatusOr<OpResult>) {});
-  client->Write("k", "v2", [](StatusOr<OpResult>) {});
-  client->Write("k", "v3", [](StatusOr<OpResult>) {});
+  client->Write(WriteOf("k", "v1"), [](StatusOr<OpResult>) {});
+  client->Write(WriteOf("k", "v2"), [](StatusOr<OpResult>) {});
+  client->Write(WriteOf("k", "v3"), [](StatusOr<OpResult>) {});
   loop_.Run();
   // All replicas converge to the last write of the FIFO stream.
   for (const Region r : {Region::kIreland, Region::kFrankfurt, Region::kVirginia}) {
@@ -55,21 +59,21 @@ TEST_F(CausalStoreTest, PerOriginFifoOrder) {
   }
 }
 
-TEST_F(CausalStoreTest, CausalDependencyRespected) {
+SHAPED_TEST(CausalStoreTest, CausalDependencyRespected) {
   // Writer A (IRL) writes x; writer B (FRK) reads x, then writes y depending on it.
   // No replica may apply y before x.
   auto writer_a = cluster_.MakeClient(Region::kIreland, Region::kIreland);
   auto writer_b = cluster_.MakeClient(Region::kFrankfurt, Region::kFrankfurt);
 
-  writer_a->Write("x", "1", [](StatusOr<OpResult>) {});
+  writer_a->Write(WriteOf("x", "1"), [](StatusOr<OpResult>) {});
   loop_.Run();  // x reaches FRK
 
   StatusOr<OpResult> seen(Status::Internal("none"));
-  writer_b->Read("x", [&](StatusOr<OpResult> r) { seen = std::move(r); });
+  writer_b->Read(ReadOf("x"), [&](StatusOr<OpResult> r) { seen = std::move(r); });
   loop_.Run();
   ASSERT_EQ(seen->value, "1");
 
-  writer_b->Write("y", "after-x", [](StatusOr<OpResult>) {});
+  writer_b->Write(WriteOf("y", "after-x"), [](StatusOr<OpResult>) {});
   loop_.Run();
   // Every replica that has y must also have x (causal cut).
   for (const Region r : {Region::kIreland, Region::kFrankfurt, Region::kVirginia}) {
@@ -81,10 +85,10 @@ TEST_F(CausalStoreTest, CausalDependencyRespected) {
   EXPECT_EQ(cluster_.ReplicaIn(Region::kVirginia)->LocalGet("y").value(), "after-x");
 }
 
-TEST_F(CausalStoreTest, AppliedClockAdvances) {
+SHAPED_TEST(CausalStoreTest, AppliedClockAdvances) {
   auto client = cluster_.MakeClient(Region::kIreland, Region::kIreland);
-  client->Write("a", "1", [](StatusOr<OpResult>) {});
-  client->Write("b", "2", [](StatusOr<OpResult>) {});
+  client->Write(WriteOf("a", "1"), [](StatusOr<OpResult>) {});
+  client->Write(WriteOf("b", "2"), [](StatusOr<OpResult>) {});
   loop_.Run();
   // Origin 0 (IRL) has issued two writes; every replica applied both.
   for (const Region r : {Region::kIreland, Region::kFrankfurt, Region::kVirginia}) {
@@ -92,16 +96,41 @@ TEST_F(CausalStoreTest, AppliedClockAdvances) {
   }
 }
 
-TEST_F(CausalStoreTest, ConcurrentWritesConvergeLww) {
+SHAPED_TEST(CausalStoreTest, ConcurrentWritesConvergeLww) {
   auto a = cluster_.MakeClient(Region::kIreland, Region::kIreland);
   auto b = cluster_.MakeClient(Region::kVirginia, Region::kVirginia);
-  a->Write("k", "from-a", [](StatusOr<OpResult>) {});
-  b->Write("k", "from-b", [](StatusOr<OpResult>) {});
+  a->Write(WriteOf("k", "from-a"), [](StatusOr<OpResult>) {});
+  b->Write(WriteOf("k", "from-b"), [](StatusOr<OpResult>) {});
   loop_.Run();
   const auto v0 = cluster_.ReplicaIn(Region::kIreland)->LocalGet("k");
   for (const Region r : {Region::kFrankfurt, Region::kVirginia}) {
     EXPECT_EQ(cluster_.ReplicaIn(r)->LocalGet("k"), v0);  // all replicas agree
   }
+}
+
+TEST_F(CausalStoreTest, BatchedWriteAppliesInOrderAndReadJoinsKeys) {
+  auto client = cluster_.MakeClient(Region::kIreland, Region::kIreland);
+  StatusOr<OpResult> ack(Status::Internal("none"));
+  client->Write(WriteRequest::MultiPut({"a", "b", "a"}, {"1", "2", "3"}),
+                [&](StatusOr<OpResult> r) { ack = std::move(r); });
+  loop_.Run();
+  ASSERT_TRUE(ack.ok());
+  EXPECT_EQ(ack->seqno, 3);
+  ASSERT_EQ(ack->key_versions.size(), 3u);
+  EXPECT_EQ(ack->version, ack->key_versions[2]);
+  // Each entry is its own causal write: every replica applied all three, in order.
+  for (const Region r : {Region::kIreland, Region::kFrankfurt, Region::kVirginia}) {
+    EXPECT_EQ(cluster_.ReplicaIn(r)->applied_clock()[0], 3) << RegionName(r);
+    EXPECT_EQ(cluster_.ReplicaIn(r)->LocalGet("a").value(), "3") << RegionName(r);
+  }
+
+  StatusOr<OpResult> read(Status::Internal("none"));
+  client->Read(ReadRequest::MultiGet({"a", "b"}),
+               [&](StatusOr<OpResult> r) { read = std::move(r); });
+  loop_.Run();
+  ASSERT_TRUE(read.ok());
+  EXPECT_TRUE(read->found);
+  EXPECT_EQ(read->value, std::string("3") + kMultiValueSeparator + "2");
 }
 
 TEST(ClientCache, HitAndMissCounting) {
