@@ -35,11 +35,13 @@ int main() {
   }
 
   auto sold = std::make_shared<int>(0);
+  // Closed loop per retailer: `loops` owns each purchase loop for the whole run; the
+  // closures refer to it by raw pointer so no loop owns itself (which would leak it).
   std::vector<std::shared_ptr<std::function<void()>>> loops;
   for (int i = 0; i < kRetailers; ++i) {
     TicketSeller* seller = sellers[static_cast<size_t>(i)].get();
     auto next = std::make_shared<std::function<void()>>();
-    *next = [seller, next, sold, i]() {
+    *next = [seller, next = next.get(), sold, i]() {
       seller->PurchaseTicket([next, sold, i](PurchaseOutcome outcome) {
         if (outcome.purchased) {
           (*sold)++;

@@ -7,55 +7,44 @@ RefreshHook CacheReadRefresh(ClientCache* cache) {
     if (level == ConsistencyLevel::kCache) {
       return;
     }
-    if (op.type == OpType::kMultiGet) {
-      // A batched read refreshes every key it covered, from its slice of the payload.
-      // Per-key versions matter here: installing the batch-wide max would wedge the
-      // version-guarded cache against later legitimate refreshes of slower keys.
-      const std::vector<std::string> parts = SplitMultiValue(result.value, op.keys.size());
-      const bool per_key_found = result.key_found.size() == op.keys.size();
-      const bool per_key_versions = result.key_versions.size() == op.keys.size();
-      for (size_t i = 0; i < op.keys.size(); ++i) {
-        const bool found = per_key_found ? static_cast<bool>(result.key_found[i])
-                                         : (result.found || !parts[i].empty());
-        if (!found) {
-          continue;  // this key missed; nothing to install
-        }
-        OpResult per_key;
-        per_key.found = true;
-        per_key.value = parts[i];
-        per_key.version = per_key_versions ? result.key_versions[i] : result.version;
-        cache->Refresh(op.keys[i], per_key);
+    if (op.type != OpType::kMultiGet) {
+      if (result.found) {
+        cache->Refresh(op.key, result);
       }
       return;
     }
-    if (!result.found) {
-      return;
+    // A batched read refreshes every key it found under that key's own version:
+    // installing the batch-wide max would wedge the version-guarded cache against later
+    // legitimate refreshes of slower keys.
+    const SmallVec<OpResult, 1> entries =
+        UnpackRead(WireShape::kBatch, op.keys.size(), result);
+    for (size_t i = 0; i < op.keys.size(); ++i) {
+      if (entries[i].found) {
+        cache->Refresh(op.keys[i], entries[i]);
+      }
     }
-    cache->Refresh(op.key, result);
   };
 }
 
 RefreshHook CacheWriteRefresh(ClientCache* cache) {
   return [cache](const Operation& op, const OpResult& ack, ConsistencyLevel) {
-    if (op.type == OpType::kMultiPut) {
-      // Entries applied in order: refresh in the same order so a later write to the same
-      // key within the batch wins in the cache exactly as it did in the store — under
-      // each entry's own acknowledged version where the store reported them.
-      const bool per_key_versions = ack.key_versions.size() == op.keys.size();
-      for (size_t i = 0; i < op.keys.size() && i < op.values.size(); ++i) {
-        OpResult cached;
-        cached.found = true;
-        cached.value = op.values[i];
-        cached.version = per_key_versions ? ack.key_versions[i] : ack.version;
-        cache->Refresh(op.keys[i], cached);
-      }
-      return;
-    }
     OpResult cached;
     cached.found = true;
-    cached.value = op.value;
-    cached.version = ack.version;
-    cache->Refresh(op.key, cached);
+    if (op.type != OpType::kMultiPut) {
+      cached.value = op.value;
+      cached.version = ack.version;
+      cache->Refresh(op.key, cached);
+      return;
+    }
+    // Entries applied in order: refresh in the same order, each under its own
+    // acknowledged version, so a later write to the same key within the batch wins in
+    // the cache exactly as it did in the store.
+    const SmallVec<OpResult, 1> acks = UnpackWriteAck(WireShape::kBatch, op.keys.size(), ack);
+    for (size_t i = 0; i < op.keys.size() && i < op.values.size(); ++i) {
+      cached.value = op.values[i];
+      cached.version = acks[i].version;
+      cache->Refresh(op.keys[i], cached);
+    }
   };
 }
 

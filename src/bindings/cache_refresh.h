@@ -14,8 +14,9 @@
 namespace icg {
 
 // Both hooks understand the batched shapes too: a kMultiGet view (or kMultiPut ack) is
-// split back into per-key entries before refreshing, so one batched round-trip leaves
-// the cache exactly as coherent as the per-key requests it replaced.
+// split back into per-key entries (UnpackRead / UnpackWriteAck) before refreshing, so
+// one batched round-trip leaves the cache exactly as coherent as the per-key requests it
+// replaced.
 RefreshHook CacheReadRefresh(ClientCache* cache);
 RefreshHook CacheWriteRefresh(ClientCache* cache);
 

@@ -34,8 +34,8 @@ namespace icg {
 
 struct BatchConfig {
   // How long operations accumulate before their cohort flushes. 0 disables cross-tick
-  // batching entirely: the pipeline keeps the legacy behaviour (same-tick read
-  // coalescing, one store submission per write) bit-for-bit.
+  // batching entirely: reads coalesce within one tick only and every write is its own
+  // store submission.
   SimDuration batch_window = 0;
   // A cohort reaching this many operations flushes immediately instead of waiting out
   // the window (bounds store request sizes and worst-case queueing).

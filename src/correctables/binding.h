@@ -155,18 +155,19 @@ class Binding {
   }
 
   // Whether this binding can satisfy a kMultiGet covering several accumulated reads in
-  // one store round-trip. The pipeline only widens read batches across ticks (and merges
-  // distinct keys into one multiget) when this returns true; otherwise reads keep the
-  // legacy same-tick coalescing path.
+  // one store round-trip, answered in PackRead's batched shape. The pipeline only widens
+  // read batches across ticks (and merges distinct keys into one multiget) when this
+  // returns true; otherwise reads coalesce within one tick only.
   virtual bool SupportsBatchedReads() const { return false; }
 
   // Whether this binding can satisfy a kMultiPut (several writes applied in order) in
-  // one store submission. The pipeline only queues and flushes writes as a batch when
-  // this returns true; otherwise every write launches individually.
+  // one store submission, acknowledged in PackWriteAck's batched shape. The pipeline only
+  // queues and flushes writes as a batch when this returns true; otherwise every write
+  // launches individually.
   virtual bool SupportsBatchedWrites() const { return false; }
 
-  // Called once per raw response in the legacy fan-out shape; kept for binding-level
-  // tests and tools that drive a binding without a Correctable client.
+  // Called once per raw response of a plan run without a Correctable client: the
+  // router's per-shard scatter-gather, binding-level tests and tools.
   using ResponseCallback =
       std::function<void(StatusOr<OpResult> result, ConsistencyLevel level, ResponseKind kind)>;
 

@@ -87,37 +87,24 @@ void EmitMergedLevel(GatherState& state, ConsistencyLevel level, const LevelGath
     return;
   }
 
-  std::vector<std::string> parts(state.total_keys);
-  OpResult merged;
-  merged.found = true;
-  merged.seqno = 0;
-  merged.key_found.assign(state.total_keys, false);
-  merged.key_versions.assign(state.total_keys, Version{});
+  // Unpack every shard's part into request order and repack it as one batched result,
+  // so each key keeps the found flag and version its shard reported.
+  std::vector<OpResult> by_position(state.total_keys);
   for (size_t i = 0; i < state.slices.size(); ++i) {
     const ShardSlice& slice = state.slices[i];
     // A confirmed shard did not resend its payload; its final is its recorded
     // preliminary.
     const OpResult& result =
         gather.confirmed[i] ? *state.latest_value[i] : gather.slots[i]->value();
-    const std::vector<std::string> shard_parts = SplitMultiValue(result.value, slice.keys.size());
-    const bool detail = result.key_found.size() == slice.keys.size();
-    const bool versions = result.key_versions.size() == slice.keys.size();
+    SmallVec<OpResult, 1> entries = UnpackRead(WireShape::kBatch, slice.keys.size(), result);
     for (size_t k = 0; k < slice.keys.size(); ++k) {
-      parts[slice.positions[k]] = shard_parts[k];
-      merged.key_found[slice.positions[k]] =
-          detail ? static_cast<bool>(result.key_found[k])
-                 : (result.found || !shard_parts[k].empty());
-      merged.key_versions[slice.positions[k]] =
-          versions ? result.key_versions[k] : result.version;
-    }
-    merged.found = merged.found && result.found;
-    merged.seqno += result.seqno > 0 ? result.seqno : 0;
-    if (merged.version < result.version) {
-      merged.version = result.version;
+      by_position[slice.positions[k]] = std::move(entries[k]);
     }
   }
-  merged.value = JoinMultiValue(parts);
-  state.emit(level, std::move(merged));
+  state.emit(level, PackRead(WireShape::kBatch, state.total_keys,
+                             [&by_position](size_t i) -> std::optional<OpResult> {
+                               return std::move(by_position[i]);
+                             }));
 }
 
 void OnShardResponse(const std::shared_ptr<GatherState>& state, size_t slice_index,
@@ -291,14 +278,6 @@ RouterLoadSnapshot BindingRouter::LoadSnapshot() const {
   return snapshot;
 }
 
-int64_t BindingRouter::TotalSheds() const {
-  int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.counters->sheds;
-  }
-  return total;
-}
-
 bool BindingRouter::ShedIfOverloaded(size_t shard_index) {
   if (queue_limit_ == 0) {
     return false;
@@ -404,7 +383,7 @@ InvocationPlan BindingRouter::PlanInvocation(const Operation& op, const LevelSet
   }
 
   // Cross-shard scatter-gather: one span step covering every requested level. Each
-  // shard runs its own sub-plan (via SubmitOperation, the raw fan-out path, which also
+  // shard runs its own sub-plan (via SubmitOperation, the raw response path, which also
   // applies that shard's refresh hook); the gather emits the merged view for a level
   // once all shards reported at it, keeping the merged sequence monotone. The involved
   // shards' bindings and counters are captured by value, so a mid-flight ring change

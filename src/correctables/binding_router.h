@@ -124,7 +124,6 @@ class BindingRouter : public Binding {
   // answers at the final level pins its slot until it does.
   size_t ShardOutstanding(size_t index) const { return shards_.at(index).counters->outstanding; }
   int64_t ShardSheds(size_t index) const { return shards_.at(index).counters->sheds; }
-  int64_t TotalSheds() const;
 
   // Consistent snapshot of epoch + every shard's outstanding/sheds + the retired-shed
   // aggregate, for controllers and tests that must never read torn across an ApplyRing.

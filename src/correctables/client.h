@@ -33,7 +33,7 @@ class CorrectableClient {
 
   // Cross-tick batching: with batch_window > 0, reads and writes accumulate per
   // coalescing scope for up to one window and flush as batched store submissions.
-  // batch_window == 0 (the default) keeps the legacy same-tick coalescing behaviour.
+  // batch_window == 0 (the default) leaves only same-tick read coalescing.
   void SetBatchConfig(const BatchConfig& config) { pipeline_.SetBatchConfig(config); }
   const BatchConfig& batch_config() const { return pipeline_.batch_config(); }
   // Flushes every pending batch cohort immediately (explicit barrier / teardown).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string_view>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -115,7 +116,8 @@ Correctable<OpResult> InvocationPipeline::Submit(Operation op, LevelVec levels) 
   // Cross-tick batching: with a window open, reads and writes queue per coalescing
   // scope — writes use the very same scope key as reads (Binding::CoalescingScope), so
   // a routed write can never batch across shard boundaries — and flush as one batched
-  // store submission. Bindings that cannot serve multiget/multiput keep the legacy path.
+  // store submission. Bindings that cannot serve multiget/multiput launch every
+  // operation on its own.
   if (scheduler_.enabled()) {
     const bool batch_read = op.type == OpType::kGet && binding_->SupportsBatchedReads();
     const bool batch_write = op.type == OpType::kPut && binding_->SupportsBatchedWrites();
@@ -143,10 +145,11 @@ Correctable<OpResult> InvocationPipeline::Submit(Operation op, LevelVec levels) 
       if (!batch->done) {
         // Piggyback on the in-flight round-trip: no new store request is issued.
         stats_->coalesced_reads++;
-        if (batch->waiters.size() == 1) {
+        Waiters& waiters = batch->entries.front();
+        if (waiters.size() == 1) {
           stats_->batched_invocations++;
         }
-        batch->waiters.push_back(inv);
+        waiters.push_back(inv);
         // Catch up on anything the batch already surfaced this tick (synchronous
         // levels, e.g. the client cache, resolve during the leader's submission).
         for (const Batch::Emission& e : batch->history) {
@@ -163,7 +166,7 @@ Correctable<OpResult> InvocationPipeline::Submit(Operation op, LevelVec levels) 
   batch->level_set = LevelSet(std::move(levels));
   batch->coalescable = coalescable;
   batch->tick = batch_tick_;
-  batch->waiters.push_back(std::move(inv));
+  batch->entries.emplace_back().push_back(std::move(inv));
   if (coalescable) {
     batch->map_key = scratch_key_;  // short keys stay in SSO storage
     open_batches_[batch->map_key] = batch;
@@ -191,36 +194,30 @@ void InvocationPipeline::CancelTimeout(Invocation& inv) {
   }
 }
 
-void InvocationPipeline::RunPlan(std::shared_ptr<const Operation> op, const LevelSet& level_set,
-                                 LevelEmitter::Sink sink) {
-  InvocationPlan plan = binding_->PlanInvocation(*op, level_set);
-  const ConsistencyLevel strongest = level_set.strongest();
+void InvocationPipeline::Launch(const std::shared_ptr<Batch>& batch) {
+  InvocationPlan plan = binding_->PlanInvocation(batch->op, batch->level_set);
+  const ConsistencyLevel strongest = batch->level_set.strongest();
   if (!plan.reject.ok()) {
-    sink(strongest, std::move(plan.reject), ResponseKind::kValue);
+    OnEmission(batch, strongest, std::move(plan.reject), ResponseKind::kValue);
     return;
   }
   if (!PlanCoversFinal(plan, strongest)) {
-    sink(strongest,
-         Status::Internal("plan from binding '" + binding_->Name() +
-                          "' does not cover the strongest requested level"),
-         ResponseKind::kValue);
+    OnEmission(batch, strongest,
+               Status::Internal("plan from binding '" + binding_->Name() +
+                                "' does not cover the strongest requested level"),
+               ResponseKind::kValue);
     return;
   }
   auto run = PooledMakeShared<PlanRun>();
-  run->op = std::move(op);
+  // Aliasing constructor: the run shares the batch's operation instead of copying it.
+  run->op = std::shared_ptr<const Operation>(batch, &batch->op);
   run->refresh = std::move(plan.refresh);
   run->binding_name = &binding_name_;
-  run->sink = std::move(sink);
+  run->sink = [this, batch](ConsistencyLevel level, StatusOr<OpResult>&& result,
+                            ResponseKind kind) {
+    OnEmission(batch, level, std::move(result), kind);
+  };
   RunPlanSteps(std::move(run), plan.steps);
-}
-
-void InvocationPipeline::Launch(const std::shared_ptr<Batch>& batch) {
-  // Aliasing constructor: the run shares the batch's operation instead of copying it.
-  RunPlan(std::shared_ptr<const Operation>(batch, &batch->op), batch->level_set,
-          [this, batch](ConsistencyLevel level, StatusOr<OpResult>&& result,
-                        ResponseKind kind) {
-            OnEmission(batch, level, std::move(result), kind);
-          });
 }
 
 void InvocationPipeline::OnEmission(const std::shared_ptr<Batch>& batch,
@@ -249,32 +246,38 @@ void InvocationPipeline::OnEmission(const std::shared_ptr<Batch>& batch,
   if (batch->coalescable && !batch->done && loop_->Now() == batch->tick) {
     batch->history.push_back(Batch::Emission{level, result, kind});
   }
-  // Deliver to the waiters present when this response arrived; the last one is handed
-  // the result itself (no copy).
-  const size_t present = batch->waiters.size();
-  if (!batch->coalescable) {
-    // Only coalescable batches are joinable, so this waiter list cannot grow (or
-    // reallocate) under the loop: deliver by reference, skipping the shared_ptr copies.
-    for (size_t i = 0; i < present; ++i) {
-      if (i + 1 == present) {
-        Deliver(*batch->waiters[i], level, std::move(result), kind);
-      } else {
-        Deliver(*batch->waiters[i], level, result, kind);
-      }
+  // A one-entry batch hands every waiter the whole emission, as do errors and
+  // confirmations (a confirmed batch's waiters each already hold their own preliminary).
+  const size_t count = batch->entries.size();
+  if (count == 1 || !result.ok() || kind == ResponseKind::kConfirmation) {
+    for (size_t e = 0; e + 1 < count; ++e) {
+      DeliverToEntry(batch->entries[e], level, result, kind);
     }
+    DeliverToEntry(batch->entries[count - 1], level, std::move(result), kind);
     return;
   }
-  // A callback may submit a new same-tick read that joins this batch mid-loop; such
-  // joiners already received this emission through the history replay, so the bound must
-  // not move. Copy the shared_ptr per iteration: push_back may reallocate under us.
-  for (size_t i = 0; i < present; ++i) {
-    std::shared_ptr<Invocation> inv = batch->waiters[i];
-    if (i + 1 == present) {
-      Deliver(*inv, level, std::move(result), kind);
-    } else {
-      Deliver(*inv, level, result, kind);
-    }
+  // A multi-entry value is split per entry: each waiter sees what a lone request for its
+  // key (or write) would have returned.
+  SmallVec<OpResult, 1> parts =
+      batch->op.type == OpType::kMultiGet
+          ? UnpackRead(WireShape::kBatch, count, result.value())
+          : UnpackWriteAck(WireShape::kBatch, count, result.value());
+  for (size_t e = 0; e < count; ++e) {
+    DeliverToEntry(batch->entries[e], level, std::move(parts[e]), kind);
   }
+}
+
+void InvocationPipeline::DeliverToEntry(const Waiters& waiters, ConsistencyLevel level,
+                                        StatusOr<OpResult> result, ResponseKind kind) {
+  // A callback may submit a same-tick read that joins a coalescable batch mid-loop; such
+  // joiners already received this emission through the history replay, so the bound must
+  // not move. Their push_back may reallocate the list, but never moves an Invocation, so
+  // each waiter is dereferenced afresh by index.
+  const size_t present = waiters.size();
+  for (size_t i = 0; i + 1 < present; ++i) {
+    Deliver(*waiters[i], level, result, kind);
+  }
+  Deliver(*waiters[present - 1], level, std::move(result), kind);
 }
 
 void InvocationPipeline::OnCohortFlush(BatchScheduler::Cohort cohort) {
@@ -292,176 +295,62 @@ void InvocationPipeline::OnCohortFlush(BatchScheduler::Cohort cohort) {
     it->second.push_back(std::move(pending));
   }
   for (const std::string& scope : order) {
-    if (cohort.is_read) {
-      FlushReadGroup(cohort.levels, std::move(groups[scope]));
-    } else {
-      FlushWriteGroup(cohort.levels, std::move(groups[scope]));
-    }
+    FlushGroup(cohort.is_read, cohort.levels, std::move(groups[scope]));
   }
 }
 
-void InvocationPipeline::FlushReadGroup(const LevelVec& levels,
-                                        std::vector<BatchScheduler::Pending> ops) {
-  const size_t waiters = ops.size();
-  std::vector<std::string> keys;  // distinct, in arrival order
-  std::map<std::string, size_t> key_index;
-  std::vector<std::vector<std::shared_ptr<Invocation>>> key_waiters;
-  for (auto& pending : ops) {
-    auto inv = std::static_pointer_cast<Invocation>(std::move(pending.waiter));
-    auto [it, inserted] = key_index.emplace(pending.op.key, keys.size());
-    if (inserted) {
-      keys.push_back(pending.op.key);
-      key_waiters.emplace_back();
-    }
-    key_waiters[it->second].push_back(std::move(inv));
-  }
-  if (waiters > 1) {
+void InvocationPipeline::FlushGroup(bool is_read, const LevelVec& levels,
+                                    std::vector<BatchScheduler::Pending> ops) {
+  if (ops.size() > 1) {
     stats_->cross_tick_batches++;
-    stats_->batched_invocations++;
-    stats_->coalesced_reads += static_cast<int64_t>(waiters) - 1;
-  }
-
-  if (keys.size() == 1) {
-    // One distinct key: the flush is an ordinary (possibly multi-waiter) read batch; the
-    // existing launch/delivery machinery applies unchanged.
-    auto batch = PooledMakeShared<Batch>();
-    batch->op = Operation::Get(keys.front());
-    batch->level_set = LevelSet(levels);
-    for (auto& inv : key_waiters.front()) {
-      batch->waiters.push_back(std::move(inv));
+    if (is_read) {
+      stats_->batched_invocations++;
+      stats_->coalesced_reads += static_cast<int64_t>(ops.size()) - 1;
+    } else {
+      stats_->batched_writes += static_cast<int64_t>(ops.size());
     }
-    Launch(batch);
-    return;
   }
-
-  auto fanout = PooledMakeShared<Fanout>();
-  fanout->op = Operation::MultiGet(keys);
-  fanout->level_set = LevelSet(levels);
-  fanout->is_read = true;
-  fanout->keys = std::move(keys);
-  fanout->key_waiters = std::move(key_waiters);
-  RunPlan(std::shared_ptr<const Operation>(fanout, &fanout->op), fanout->level_set,
-          [this, fanout](ConsistencyLevel level, StatusOr<OpResult>&& result,
-                         ResponseKind kind) {
-            OnFanoutEmission(fanout, level, std::move(result), kind);
-          });
-}
-
-void InvocationPipeline::FlushWriteGroup(const LevelVec& levels,
-                                         std::vector<BatchScheduler::Pending> ops) {
-  if (ops.size() == 1) {
-    // A lone queued write launches exactly like an unbatched one (just window-delayed).
-    auto batch = PooledMakeShared<Batch>();
+  auto batch = PooledMakeShared<Batch>();
+  batch->level_set = LevelSet(levels);
+  // Reads get one entry per distinct key, shared by its waiters; writes one per write, in
+  // arrival order — program order, since a multiput applies its entries in order.
+  SmallVec<size_t, 4> first_op;  // per entry: the index in `ops` that opened it
+  std::map<std::string_view, size_t> entry_of_key;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    size_t entry = first_op.size();
+    if (is_read) {
+      entry = entry_of_key.emplace(ops[i].op.key, entry).first->second;
+    }
+    if (entry == first_op.size()) {
+      first_op.push_back(i);
+      batch->entries.emplace_back();
+    }
+    batch->entries[entry].push_back(
+        std::static_pointer_cast<Invocation>(std::move(ops[i].waiter)));
+  }
+  if (first_op.size() == 1) {
+    // A one-entry cohort goes out as the plain kGet/kPut it was submitted as.
     batch->op = std::move(ops.front().op);
-    batch->level_set = LevelSet(levels);
-    batch->waiters.push_back(std::static_pointer_cast<Invocation>(std::move(ops.front().waiter)));
-    Launch(batch);
-    return;
-  }
-  stats_->cross_tick_batches++;
-  stats_->batched_writes += static_cast<int64_t>(ops.size());
-
-  // Arrival order is program order: the multiput applies entries in vector order, so two
-  // queued writes to the same key land in submission order.
-  auto fanout = PooledMakeShared<Fanout>();
-  std::vector<std::string> keys;
-  std::vector<std::string> values;
-  std::vector<SimTime> timestamps;
-  keys.reserve(ops.size());
-  values.reserve(ops.size());
-  timestamps.reserve(ops.size());
-  for (auto& pending : ops) {
-    keys.push_back(std::move(pending.op.key));
-    values.push_back(std::move(pending.op.value));
-    timestamps.push_back(pending.op.timestamp);  // submission-time stamps ride along
-    fanout->write_waiters.push_back(
-        std::static_pointer_cast<Invocation>(std::move(pending.waiter)));
-  }
-  fanout->op = Operation::MultiPut(std::move(keys), std::move(values));
-  fanout->op.timestamps = std::move(timestamps);
-  fanout->level_set = LevelSet(levels);
-  fanout->is_read = false;
-  RunPlan(std::shared_ptr<const Operation>(fanout, &fanout->op), fanout->level_set,
-          [this, fanout](ConsistencyLevel level, StatusOr<OpResult>&& result,
-                         ResponseKind kind) {
-            OnFanoutEmission(fanout, level, std::move(result), kind);
-          });
-}
-
-void InvocationPipeline::OnFanoutEmission(const std::shared_ptr<Fanout>& fanout,
-                                          ConsistencyLevel level, StatusOr<OpResult> result,
-                                          ResponseKind kind) {
-  if (!fanout->level_set.Contains(level)) {
-    ICG_DEBUG << "binding " << binding_->Name() << " emitted unrequested level "
-              << ConsistencyLevelName(level) << " on a batched submission; dropped";
-    return;
-  }
-
-  if (!fanout->is_read) {
-    // One ack (or error) covers the whole batched write: every queued waiter sees it —
-    // under its own entry's acknowledged version when the store reported them
-    // (write_waiters is parallel to the multiput's entries).
-    const bool per_entry_versions =
-        result.ok() && result.value().key_versions.size() == fanout->write_waiters.size();
-    for (size_t i = 0; i < fanout->write_waiters.size(); ++i) {
-      if (per_entry_versions) {
-        OpResult ack = result.value();
-        ack.version = ack.key_versions[i];
-        ack.key_found.clear();
-        ack.key_versions.clear();
-        ack.seqno = -1;
-        Deliver(*fanout->write_waiters[i], level, StatusOr<OpResult>(std::move(ack)), kind);
-      } else {
-        Deliver(*fanout->write_waiters[i], level, result, kind);
-      }
+  } else if (is_read) {
+    std::vector<std::string> keys;
+    keys.reserve(first_op.size());
+    for (const size_t i : first_op) {
+      keys.push_back(std::move(ops[i].op.key));
     }
-    return;
-  }
-
-  if (!result.ok()) {
-    // A failed batched flush fans the error to exactly the waiters in this batch; the
-    // per-waiter delivery decides whether it is tolerable (preliminary) or terminal.
-    for (const auto& waiters : fanout->key_waiters) {
-      for (const std::shared_ptr<Invocation>& inv : waiters) {
-        Deliver(*inv, level, result, kind);
-      }
-    }
-    return;
-  }
-
-  if (kind == ResponseKind::kConfirmation) {
-    // §5.2 reconstruction per waiter: the store confirmed the whole multiget, so each
-    // waiter's final equals the preliminary slice it already holds.
-    const StatusOr<OpResult> confirm{OpResult{}};
-    for (const auto& waiters : fanout->key_waiters) {
-      for (const std::shared_ptr<Invocation>& inv : waiters) {
-        Deliver(*inv, level, confirm, ResponseKind::kConfirmation);
-      }
-    }
-    return;
-  }
-
-  // Fan the joined multiget payload back out: each waiter sees only its own key's slice,
-  // as if it had issued a lone read.
-  const OpResult& joined = result.value();
-  const std::vector<std::string> parts = SplitMultiValue(joined.value, fanout->keys.size());
-  const bool per_key_found = joined.key_found.size() == fanout->keys.size();
-  const bool per_key_versions = joined.key_versions.size() == fanout->keys.size();
-  for (size_t i = 0; i < fanout->keys.size(); ++i) {
-    OpResult slice;
-    // Prefer the responder's per-key detail; without it, fall back to the joined fields
-    // (`found` of a joined result ANDs across keys, so a key counts as found if the
-    // whole batch was or its slice carries a payload — a found-but-empty value is then
-    // indistinguishable from a miss, which is why responders should fill the detail).
-    slice.found = per_key_found ? static_cast<bool>(joined.key_found[i])
-                                : (joined.found || !parts[i].empty());
-    slice.value = parts[i];
-    slice.version = per_key_versions ? joined.key_versions[i] : joined.version;
-    const StatusOr<OpResult> sliced{std::move(slice)};
-    for (const std::shared_ptr<Invocation>& inv : fanout->key_waiters[i]) {
-      Deliver(*inv, level, sliced, ResponseKind::kValue);
+    batch->op = Operation::MultiGet(std::move(keys));
+  } else {
+    Operation& put = batch->op;
+    put.type = OpType::kMultiPut;
+    put.keys.reserve(ops.size());
+    put.values.reserve(ops.size());
+    put.timestamps.reserve(ops.size());
+    for (auto& pending : ops) {
+      put.keys.push_back(std::move(pending.op.key));
+      put.values.push_back(std::move(pending.op.value));
+      put.timestamps.push_back(pending.op.timestamp);  // submission-time stamps ride along
     }
   }
+  Launch(batch);
 }
 
 void InvocationPipeline::Deliver(Invocation& inv, ConsistencyLevel level,
@@ -517,7 +406,7 @@ void InvocationPipeline::Deliver(Invocation& inv, ConsistencyLevel level,
 }
 
 // Binding::SubmitOperation lives here rather than in a binding translation unit so the
-// raw fan-out path and the pipeline share RunPlanSteps, the one definition of "run a
+// raw response path and the pipeline share RunPlanSteps, the one definition of "run a
 // plan" (rejection, coverage validation, declaration enforcement, refresh write-through).
 void Binding::SubmitOperation(const Operation& op, const LevelVec& levels,
                               ResponseCallback callback) {

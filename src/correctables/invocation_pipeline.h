@@ -16,14 +16,19 @@
 //   * read coalescing: same-key reads with the same level set submitted within one
 //     event-loop tick share a single store round-trip, its responses fanned back out to
 //     every waiting Correctable;
-//   * cross-tick batching (BatchConfig::batch_window > 0): reads for one coalescing
-//     scope accumulate across ticks and flush as a single multiget round-trip serving
-//     the whole cohort (per-waiter fan-back-out, including per-waiter confirmation
-//     reconstruction); writes to one scope queue and flush as a single in-order multiput
-//     submission. Scope keys come from Binding::CoalescingScope for reads AND writes,
+//   * cross-tick batching (BatchConfig::batch_window > 0): reads and writes for one
+//     coalescing scope accumulate across ticks and flush as one store submission — a
+//     multiget with one entry per distinct key, or an in-order multiput with one entry
+//     per write. Scope keys come from Binding::CoalescingScope for reads AND writes,
 //     re-consulted at flush time so a rebalance mid-window re-routes instead of letting
-//     a batch span shards. With batch_window == 0 the legacy same-tick behaviour is
-//     preserved bit-for-bit.
+//     a batch span shards.
+//
+// Every store submission is one Batch: an operation plus one waiter list per entry of
+// its request. An unbatched or same-tick-coalesced invocation (and a queue op, or a
+// MultiGet/MultiPut an application submits itself) is a one-entry batch whose waiters
+// all see the whole emission; a flushed cohort of one entry still goes out as a plain
+// kGet/kPut. A multi-entry value is split per entry with UnpackRead/UnpackWriteAck, so
+// each waiter sees what a lone request would have returned.
 #ifndef ICG_CORRECTABLES_INVOCATION_PIPELINE_H_
 #define ICG_CORRECTABLES_INVOCATION_PIPELINE_H_
 
@@ -75,8 +80,8 @@ class InvocationPipeline {
   // times out on its own schedule — and fails alone.
   void SetTimeout(SimDuration timeout) { timeout_ = timeout; }
 
-  // Configures cross-tick batching. batch_window == 0 (the default) keeps the legacy
-  // same-tick coalescing path untouched.
+  // Configures cross-tick batching. batch_window == 0 (the default) leaves only
+  // same-tick read coalescing.
   void SetBatchConfig(const BatchConfig& config) { scheduler_.SetConfig(config); }
   const BatchConfig& batch_config() const { return scheduler_.config(); }
 
@@ -101,7 +106,10 @@ class InvocationPipeline {
     TimerId timer = 0;
   };
 
-  // One planned store round-trip set, fanned out to one or more waiters.
+  // The waiters of one entry of a batch's request.
+  using Waiters = SmallVec<std::shared_ptr<Invocation>, 2>;
+
+  // One planned store submission, fanned out to the waiters of each of its entries.
   struct Batch {
     Operation op;
     LevelSet level_set;
@@ -109,7 +117,10 @@ class InvocationPipeline {
     SimTime tick = 0;            // submission tick of a coalescable batch
     bool done = false;           // strongest-level response delivered
     std::string map_key;         // open_batches_ entry while joinable
-    SmallVec<std::shared_ptr<Invocation>, 2> waiters;
+    // One list per entry of `op`: a single entry for an unbatched, coalesced or
+    // one-entry flushed submission; one per distinct key (reads) or per write, in the
+    // request's order, for a flushed multi-entry cohort.
+    SmallVec<Waiters, 1> entries;
     struct Emission {
       ConsistencyLevel level;
       StatusOr<OpResult> result;
@@ -118,36 +129,20 @@ class InvocationPipeline {
     SmallVec<Emission, 2> history;  // replayed to late same-tick joiners
   };
 
-  // One flushed cross-tick cohort running as a batched store submission. For reads the
-  // multiget payload is sliced back out per key; for writes the single multiput ack (or
-  // error) fans out to every queued waiter.
-  struct Fanout {
-    Operation op;  // kMultiGet / kMultiPut
-    LevelSet level_set;
-    bool is_read = false;
-    std::vector<std::string> keys;  // reads: distinct keys, in op.keys order
-    std::vector<std::vector<std::shared_ptr<Invocation>>> key_waiters;  // parallel to keys
-    std::vector<std::shared_ptr<Invocation>> write_waiters;  // writes: arrival order
-  };
-
   void ArmTimeout(const std::shared_ptr<Invocation>& inv);
   void CancelTimeout(Invocation& inv);
-  // Plans `op` against the binding and runs the plan's steps into `sink` (shared
-  // rejection/coverage validation for both the per-batch and fan-out paths).
-  void RunPlan(std::shared_ptr<const Operation> op, const LevelSet& level_set,
-               LevelEmitter::Sink sink);
   void Launch(const std::shared_ptr<Batch>& batch);
   void OnEmission(const std::shared_ptr<Batch>& batch, ConsistencyLevel level,
                   StatusOr<OpResult> result, ResponseKind kind);
-  // Cross-tick flush handlers.
+  // Delivers one response to the waiters an entry holds now; the last is handed the
+  // result itself (no copy).
+  void DeliverToEntry(const Waiters& waiters, ConsistencyLevel level, StatusOr<OpResult> result,
+                      ResponseKind kind);
+  // Cross-tick flush: regroups a cohort by current scope and launches one batch per group.
   void OnCohortFlush(BatchScheduler::Cohort cohort);
-  void FlushReadGroup(const LevelVec& levels, std::vector<BatchScheduler::Pending> ops);
-  void FlushWriteGroup(const LevelVec& levels, std::vector<BatchScheduler::Pending> ops);
-  void OnFanoutEmission(const std::shared_ptr<Fanout>& fanout, ConsistencyLevel level,
-                        StatusOr<OpResult> result, ResponseKind kind);
-  // Translates one raw response into a view transition on one waiter. Takes the result
-  // by value: fan-out callers copy per waiter anyway, and the last waiter of an emission
-  // can be handed the original without a copy.
+  void FlushGroup(bool is_read, const LevelVec& levels,
+                  std::vector<BatchScheduler::Pending> ops);
+  // Translates one raw response into a view transition on one waiter.
   void Deliver(Invocation& inv, ConsistencyLevel level, StatusOr<OpResult> result,
                ResponseKind kind);
 

@@ -1,5 +1,6 @@
 #include "src/correctables/operation.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -77,17 +78,6 @@ int64_t Operation::WireBytes() const {
   }
   bytes += static_cast<int64_t>(timestamps.size()) * 8;
   return bytes;
-}
-
-std::string JoinMultiValue(const std::vector<std::string>& parts) {
-  std::string joined;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) {
-      joined += kMultiValueSeparator;
-    }
-    joined += parts[i];
-  }
-  return joined;
 }
 
 ReadRequest ReadRequest::Get(std::string key) {
@@ -203,23 +193,48 @@ OpResult PackWriteAck(WireShape shape, const SmallVec<KeyWrite, 1>& writes) {
   return ack;
 }
 
-std::vector<std::string> SplitMultiValue(const std::string& value, size_t count) {
-  std::vector<std::string> parts;
-  parts.reserve(count);
-  size_t start = 0;
-  while (parts.size() + 1 < count) {
-    const size_t sep = value.find(kMultiValueSeparator, start);
-    if (sep == std::string::npos) {
-      break;
+SmallVec<OpResult, 1> UnpackRead(WireShape shape, size_t count, const OpResult& packed) {
+  SmallVec<OpResult, 1> entries;
+  if (shape == WireShape::kSingle) {
+    entries.push_back(packed);
+    return entries;
+  }
+  entries.reserve(count);
+  const std::string& joined = packed.value;
+  size_t start = 0;  // entry i's payload offset; past the end once the payload ran short
+  for (size_t i = 0; i < count; ++i) {
+    // The last entry's payload is the rest of the value.
+    const size_t end = i + 1 < count
+                           ? std::min(joined.find(kMultiValueSeparator, start), joined.size())
+                           : joined.size();
+    OpResult& entry = entries.emplace_back();
+    if (i < packed.key_found.size() && packed.key_found[i] && i < packed.key_versions.size()) {
+      entry.found = true;
+      if (start < end) {
+        entry.value.assign(joined, start, end - start);
+      }
+      entry.version = packed.key_versions[i];
     }
-    parts.push_back(value.substr(start, sep - start));
-    start = sep + 1;
+    start = end + 1;
   }
-  if (count > 0) {
-    parts.push_back(value.substr(start));
+  return entries;
+}
+
+SmallVec<OpResult, 1> UnpackWriteAck(WireShape shape, size_t count, const OpResult& packed) {
+  SmallVec<OpResult, 1> entries;
+  if (shape == WireShape::kSingle) {
+    entries.push_back(packed);
+    return entries;
   }
-  parts.resize(count);
-  return parts;
+  entries.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    OpResult& entry = entries.emplace_back();
+    entry.found = true;
+    if (i < packed.key_versions.size()) {
+      entry.version = packed.key_versions[i];
+    }
+  }
+  return entries;
 }
 
 std::string Operation::ToString() const {

@@ -74,14 +74,6 @@ struct Operation {
 // repo satisfy that; a length-prefixed format is the lift if one ever must not.)
 inline constexpr char kMultiValueSeparator = '\x1e';
 
-// Joins per-key payloads into the kMultiGet/kMultiPut wire format (parts separated by
-// kMultiValueSeparator; missing keys contribute an empty part).
-std::string JoinMultiValue(const std::vector<std::string>& parts);
-
-// Splits a multi-value payload into exactly `count` per-key parts (the inverse of
-// JoinMultiValue; short payloads pad with empty parts).
-std::vector<std::string> SplitMultiValue(const std::string& value, size_t count);
-
 // The result of an operation as observed under some consistency level. For kMultiGet,
 // `value` holds the per-key payloads joined by kMultiValueSeparator (missing keys
 // contribute an empty payload), `found` means every key was found, and `seqno` counts
@@ -96,10 +88,9 @@ struct OpResult {
   // Version of the value (key-value stores); default for queue results.
   Version version{};
   // Per-key detail of a batched (kMultiGet / kMultiPut) result, parallel to the
-  // request's key order. The joined `found`/`version` above lose which key missed and
-  // which version belongs to whom; responders that know fill these so fan-out and cache
-  // refresh can be exact per key. Empty when unavailable (e.g. legacy responders) —
-  // consumers then fall back to the joined fields.
+  // request's key order: the joined `found`/`version` above lose which key missed and
+  // which version belongs to whom. Written by PackRead/PackWriteAck and read back only
+  // by UnpackRead/UnpackWriteAck.
   std::vector<bool> key_found;
   std::vector<Version> key_versions;
 
@@ -171,6 +162,13 @@ OpResult PackRead(WireShape shape, size_t count,
 // The acknowledgement of an applied write request: `version` = the last applied
 // version; a batch adds `seqno` = entries and the per-entry found/version detail.
 OpResult PackWriteAck(WireShape shape, const SmallVec<KeyWrite, 1>& writes);
+
+// The inverses: split a packed result of `count` entries back into per-entry results,
+// entry i being exactly what a lone request for key (or write) i returns. kSingle: the
+// result itself. kBatch: a read entry is its key's payload and version, a miss being
+// OpResult{}; a write entry is a plain ack under that entry's applied version.
+SmallVec<OpResult, 1> UnpackRead(WireShape shape, size_t count, const OpResult& packed);
+SmallVec<OpResult, 1> UnpackWriteAck(WireShape shape, size_t count, const OpResult& packed);
 
 // Wire-size constants shared by the simulated protocols. The paper reports ~270 B for a
 // ZooKeeper enqueue request+response pair and ~130 B for the extra preliminary response;

@@ -53,16 +53,18 @@ Version CausalReplica::ApplyLocalWrite(const std::string& key, const std::string
   storage_[key] = Entry{value, version};
   applied_clock_[static_cast<size_t>(origin_index_)] = origin_seq;
 
-  const std::vector<int64_t> deps = applied_clock_;
+  const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size()) +
+                        static_cast<int64_t>(value.size()) +
+                        static_cast<int64_t>(applied_clock_.size()) * 8;
   for (CausalReplica* peer : peers_) {
-    const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(key.size()) +
-                          static_cast<int64_t>(value.size()) +
-                          static_cast<int64_t>(deps.size()) * 8;
-    const int origin = origin_index_;
-    network_->Send(id_, peer->id(), bytes,
-                   [peer, origin, origin_seq, deps, key, value, version]() {
-                     peer->HandleReplicated(origin, origin_seq, deps, key, value, version);
-                   });
+    auto replicate = [peer, origin = origin_index_, origin_seq, deps = applied_clock_,
+                      key = key, value = value, version]() mutable {
+      peer->HandleReplicated(origin, origin_seq, std::move(deps), std::move(key),
+                             std::move(value), version);
+    };
+    static_assert(EventLoop::Task::StoresInline<decltype(replicate)>(),
+                  "a replication send must not allocate");
+    network_->Send(id_, peer->id(), bytes, std::move(replicate));
   }
   return version;
 }
@@ -94,14 +96,16 @@ void CausalReplica::HandleWrite(NodeId client_id, WriteRequest request,
 }
 
 void CausalReplica::HandleReplicated(int origin, int64_t origin_seq, std::vector<int64_t> deps,
-                                     const std::string& key, std::string value, Version version) {
-  service_.Submit(config_->apply_service,
-                  [this, origin, origin_seq, deps = std::move(deps), key,
-                   value = std::move(value), version]() mutable {
-                    pending_.push_back(PendingWrite{origin, origin_seq, std::move(deps), key,
-                                                    std::move(value), version});
-                    TryApplyPending();
-                  });
+                                     std::string key, std::string value, Version version) {
+  auto apply = [this, origin, origin_seq, deps = std::move(deps), key = std::move(key),
+                value = std::move(value), version]() mutable {
+    pending_.push_back(PendingWrite{origin, origin_seq, std::move(deps), std::move(key),
+                                    std::move(value), version});
+    TryApplyPending();
+  };
+  static_assert(EventLoop::Task::StoresInline<ServiceQueue::Job<decltype(apply)>>(),
+                "a replicated apply job must not allocate");
+  service_.Submit(config_->apply_service, std::move(apply));
 }
 
 bool CausalReplica::DepsSatisfied(const PendingWrite& write) const {

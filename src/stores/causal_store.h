@@ -59,7 +59,7 @@ class CausalReplica {
   // Replication message: a write from `origin` with its per-origin sequence number and
   // the origin's dependency clock at emission time.
   void HandleReplicated(int origin, int64_t origin_seq, std::vector<int64_t> deps,
-                        const std::string& key, std::string value, Version version);
+                        std::string key, std::string value, Version version);
 
   NodeId id() const { return id_; }
   ServiceQueue& service_queue() { return service_; }

@@ -62,22 +62,28 @@ void PbNode::HandleWrite(NodeId client_id, WriteRequest request, PbResponseFn re
       for (PbNode* backup : backups_) {
         const int64_t bytes = kRequestHeaderBytes + static_cast<int64_t>(write.key.size()) +
                               static_cast<int64_t>(write.value.size());
-        network_->Send(id_, backup->id(), bytes,
-                       [backup, key = write.key, value = write.value, version = write.version]() {
-                         backup->ApplyReplicated(key, value, version);
-                       });
+        auto replicate = [backup, key = write.key, value = write.value,
+                          version = write.version]() mutable {
+          backup->ApplyReplicated(std::move(key), std::move(value), version);
+        };
+        static_assert(EventLoop::Task::StoresInline<decltype(replicate)>(),
+                      "a replication send must not allocate");
+        network_->Send(id_, backup->id(), bytes, std::move(replicate));
       }
     }
   });
 }
 
-void PbNode::ApplyReplicated(const std::string& key, std::string value, Version version) {
-  service_.Submit(config_->apply_service, [this, key, value = std::move(value), version]() {
+void PbNode::ApplyReplicated(std::string key, std::string value, Version version) {
+  auto apply = [this, key = std::move(key), value = std::move(value), version]() mutable {
     auto it = storage_.find(key);
     if (it == storage_.end() || it->second.version < version) {
-      storage_[key] = Entry{value, version};
+      storage_[key] = Entry{std::move(value), version};
     }
-  });
+  };
+  static_assert(EventLoop::Task::StoresInline<ServiceQueue::Job<decltype(apply)>>(),
+                "a replicated apply job must not allocate");
+  service_.Submit(config_->apply_service, std::move(apply));
 }
 
 std::optional<std::string> PbNode::LocalGet(const std::string& key) const {

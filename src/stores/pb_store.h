@@ -51,7 +51,7 @@ class PbNode {
   // propagate each to the backups. An empty request fails with kInvalidArgument.
   void HandleWrite(NodeId client_id, WriteRequest request, PbResponseFn respond);
   // Backup side of asynchronous propagation.
-  void ApplyReplicated(const std::string& key, std::string value, Version version);
+  void ApplyReplicated(std::string key, std::string value, Version version);
 
   NodeId id() const { return id_; }
   ServiceQueue& service_queue() { return service_; }

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,8 +16,9 @@
 namespace icg {
 namespace {
 
-// A synchronous shard binding: gets answer "<name>/<key>", multigets join
-// "<name>/<key>" per key, puts acknowledge. When `confirm_finals` is set, the strong
+// A synchronous shard binding: every read key answers "<name>/<key>", every write is
+// acknowledged, and both are packed like a store's answer (PackRead / PackWriteAck, so a
+// multiget carries its per-key detail). When `confirm_finals` is set, the strong
 // final of a multi-level read arrives as a §5.2 digest confirmation instead of a value.
 class FakeShardBinding : public Binding {
  public:
@@ -43,28 +45,23 @@ class FakeShardBinding : public Binding {
       // Batched write: acknowledge the whole batch once at the strongest level.
       plan.AddStep(levels.strongest(), [this, level = levels.strongest()](
                                            const Operation& puts, LevelEmitter emit) {
-        OpResult ack;
-        ack.found = true;
-        ack.seqno = static_cast<int64_t>(puts.keys.size());
-        emit(level, fail_final.ok() ? StatusOr<OpResult>(ack) : StatusOr<OpResult>(fail_final));
+        const WriteRequest request = WriteRequest::Of(puts);
+        emit(level, fail_final.ok()
+                        ? StatusOr<OpResult>(PackWriteAck(request.shape, request.writes))
+                        : StatusOr<OpResult>(fail_final));
       });
       return plan;
     }
     plan.AddSpan(levels.levels(), [this, levels](const Operation& o, LevelEmitter emit) {
       const bool multi_level = !levels.single();
-      OpResult result;
-      result.found = true;
-      if (o.type == OpType::kMultiGet) {
-        result.seqno = static_cast<int64_t>(o.keys.size());
-        for (size_t i = 0; i < o.keys.size(); ++i) {
-          if (i > 0) {
-            result.value += kMultiValueSeparator;
-          }
-          result.value += name_ + "/" + o.keys[i];
-        }
-      } else {
-        result.value = name_ + "/" + o.key;
-      }
+      const ReadRequest request = ReadRequest::Of(o);
+      const OpResult result = PackRead(
+          request.shape, request.keys.size(), [this, &request](size_t i) {
+            OpResult hit;
+            hit.found = true;
+            hit.value = name_ + "/" + request.keys[i];
+            return std::optional<OpResult>(std::move(hit));
+          });
       if (multi_level) {
         emit(levels.weakest(), result);
       }
@@ -562,7 +559,7 @@ TEST(BindingRouter, ZeroLimitDisablesShedding) {
     handles.push_back(client.InvokeStrong(Operation::Get("k" + std::to_string(i))));
   }
   EXPECT_EQ(router->ShardOutstanding(0), 64u);
-  EXPECT_EQ(router->TotalSheds(), 0);
+  EXPECT_EQ(router->LoadSnapshot().total_sheds(), 0);
   h0->ReleaseAll();
   for (auto& handle : handles) {
     EXPECT_EQ(handle.state(), CorrectableState::kFinal);

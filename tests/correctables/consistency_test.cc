@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "src/correctables/operation.h"
 
 namespace icg {
@@ -106,6 +110,61 @@ TEST(Operation, WireBytesGrowWithPayload) {
 TEST(Operation, ToStringIsReadable) {
   EXPECT_EQ(Operation::Get("user1").ToString(), "GET(user1)");
   EXPECT_EQ(Operation::Put("k", "xyz").ToString(), "PUT(k, 3B)");
+}
+
+// Per-key answers covering every case a batch must keep apart: a hit, a miss, a
+// found-but-empty value, and hits under distinct versions.
+std::vector<std::optional<OpResult>> MixedReadAnswers() {
+  auto hit = [](std::string value, Version version) {
+    OpResult result;
+    result.found = true;
+    result.value = std::move(value);
+    result.version = version;
+    return std::optional<OpResult>(std::move(result));
+  };
+  return {std::nullopt, hit("alpha", Version{5, 1}), hit("", Version{9, 2}), std::nullopt,
+          hit("delta", Version{3, 0}), hit("", Version{7, 1})};
+}
+
+TEST(Operation, UnpackReadReturnsEachKeysLoneResult) {
+  const std::vector<std::optional<OpResult>> answers = MixedReadAnswers();
+  auto answer = [&answers](size_t i) { return answers[i]; };
+  const OpResult packed = PackRead(WireShape::kBatch, answers.size(), answer);
+  const SmallVec<OpResult, 1> entries = UnpackRead(WireShape::kBatch, answers.size(), packed);
+  ASSERT_EQ(entries.size(), answers.size());
+  for (size_t i = 0; i < answers.size(); ++i) {
+    const OpResult lone =
+        PackRead(WireShape::kSingle, 1, [&answers, i](size_t) { return answers[i]; });
+    EXPECT_EQ(entries[i], lone) << "key " << i;
+    // A lone request's result is its own one-entry unpacking.
+    const SmallVec<OpResult, 1> single = UnpackRead(WireShape::kSingle, 1, lone);
+    ASSERT_EQ(single.size(), 1u);
+    EXPECT_EQ(single[0], lone) << "key " << i;
+  }
+  EXPECT_FALSE(entries[0].found);
+  EXPECT_TRUE(entries[2].found);  // found-but-empty stays distinct from a miss
+  EXPECT_EQ(entries[2].value, "");
+  EXPECT_EQ(entries[4].version, (Version{3, 0}));
+}
+
+TEST(Operation, UnpackWriteAckReturnsEachWritesLoneAck) {
+  SmallVec<KeyWrite, 1> writes;
+  writes.push_back(KeyWrite{"a", "1", Version{3, 1}});
+  writes.push_back(KeyWrite{"b", "", Version{7, 2}});
+  writes.push_back(KeyWrite{"a", "3", Version{9, 1}});  // same key again, later version
+  const OpResult packed = PackWriteAck(WireShape::kBatch, writes);
+  const SmallVec<OpResult, 1> acks = UnpackWriteAck(WireShape::kBatch, writes.size(), packed);
+  ASSERT_EQ(acks.size(), writes.size());
+  for (size_t i = 0; i < writes.size(); ++i) {
+    SmallVec<KeyWrite, 1> alone;
+    alone.push_back(writes[i]);
+    const OpResult lone = PackWriteAck(WireShape::kSingle, alone);
+    EXPECT_EQ(acks[i], lone) << "write " << i;
+    const SmallVec<OpResult, 1> single = UnpackWriteAck(WireShape::kSingle, 1, lone);
+    ASSERT_EQ(single.size(), 1u);
+    EXPECT_EQ(single[0], lone) << "write " << i;
+  }
+  EXPECT_EQ(acks[1].version, (Version{7, 2}));
 }
 
 TEST(OpResultTest, WireBytesIncludeValue) {

@@ -153,6 +153,73 @@ TEST(ShardedRouting, CrossShardMultigetMergesThroughRealStores) {
   EXPECT_EQ(seen[1], ConsistencyLevel::kStrong);
 }
 
+TEST(ShardedRouting, CrossShardMultigetKeepsEachShardsPerKeyDetail) {
+  SimWorld world(7, 0.0);
+  auto stack = MakeShardedCassandraStack(world, 3, KvConfig{}, CassandraBindingConfig{});
+  // Two keys per shard, so every shard answers a multi-key slice.
+  std::map<size_t, std::vector<std::string>> by_shard;
+  for (int i = 0; i < 200; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    std::vector<std::string>& keys = by_shard[stack.router()->ShardIndexFor(key)];
+    if (keys.size() < 2) {
+      keys.push_back(key);
+    }
+  }
+  ASSERT_EQ(by_shard.size(), 3u);
+  for (const auto& [shard, keys] : by_shard) {
+    ASSERT_EQ(keys.size(), 2u) << "shard " << shard;
+  }
+  const std::string empty = by_shard[0][0];    // found, with an empty value
+  const std::string written = by_shard[0][1];  // written at run time: a newer version
+  const std::string missing = by_shard[1][0];
+  const std::string preloaded = by_shard[1][1];
+  const std::string rewritten = by_shard[2][0];  // written twice
+  const std::string later = by_shard[2][1];      // written after both of those
+  stack.cluster->Preload(empty, "");
+  stack.cluster->Preload(preloaded, "old");
+  for (const auto& [key, value] : std::vector<std::pair<std::string, std::string>>{
+           {written, "w1"}, {rewritten, "r1"}, {rewritten, "r2"}, {later, "l1"}}) {
+    stack.client()->InvokeStrong(Operation::Put(key, value));
+    world.loop().Run();
+  }
+
+  // Interleave the shards in the request so the merge must restore request order.
+  const std::vector<std::string> keys = {later, empty, missing, rewritten, preloaded, written};
+  auto multi = stack.client()->Invoke(Operation::MultiGet(keys));
+  world.loop().Run();
+  std::vector<Correctable<OpResult>> lone;
+  for (const std::string& key : keys) {
+    lone.push_back(stack.client()->Invoke(Operation::Get(key)));
+  }
+  world.loop().Run();
+
+  ASSERT_EQ(multi.state(), CorrectableState::kFinal);
+  const OpResult merged = multi.Final().value();
+  ASSERT_EQ(merged.key_found.size(), keys.size());
+  ASSERT_EQ(merged.key_versions.size(), keys.size());
+  const SmallVec<OpResult, 1> entries = UnpackRead(WireShape::kBatch, keys.size(), merged);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(lone[i].state(), CorrectableState::kFinal) << keys[i];
+    const OpResult own = lone[i].Final().value();
+    EXPECT_EQ(static_cast<bool>(merged.key_found[i]), own.found) << keys[i];
+    EXPECT_EQ(merged.key_versions[i], own.version) << keys[i];
+    EXPECT_EQ(entries[i], own) << keys[i];
+  }
+  EXPECT_FALSE(merged.found);  // one key missed
+  EXPECT_EQ(merged.seqno, 5);
+  EXPECT_TRUE(entries[1].found);
+  EXPECT_EQ(entries[1].value, "");
+  EXPECT_FALSE(entries[2].found);
+  EXPECT_EQ(entries[3].value, "r2");
+  // Four distinct versions: the preload stamp and three run-time writes.
+  const std::set<std::pair<SimTime, NodeId>> versions = {
+      {entries[0].version.timestamp, entries[0].version.writer},
+      {entries[3].version.timestamp, entries[3].version.writer},
+      {entries[4].version.timestamp, entries[4].version.writer},
+      {entries[5].version.timestamp, entries[5].version.writer}};
+  EXPECT_EQ(versions.size(), 4u);
+}
+
 TEST(ShardedRouting, WritesVisibleThroughAnyShardCount) {
   SimWorld world(7, 0.0);
   auto stack = MakeShardedCassandraStack(world, 3, KvConfig{}, CassandraBindingConfig{});
