@@ -14,9 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "src/harness/deployment.h"
-#include "src/harness/executors.h"
+#include "bench/scaffold.h"
 
 namespace icg {
 namespace {
@@ -31,21 +29,18 @@ void AblateFlushCost() {
     KvConfig kv;
     kv.flush_service = Micros(flush_us);
     SimWorld world(42);
-    CassandraBindingConfig binding;
-    binding.strong_read_quorum = 2;
-    auto stack = MakeCassandraStack(world, kv, binding);
+    auto stack = MakeCassandraStack(world, kv, CassandraBindingConfig{});  // CC2
     WorkloadConfig workload_config = WorkloadConfig::YcsbC(RequestDistribution::kZipfian,
                                                            kRecords);
     PreloadYcsbDataset(stack.cluster.get(), workload_config);
 
-    RunnerConfig runner_config;
-    runner_config.threads = 48;  // past the saturation knee
-    runner_config.duration = Seconds(45);
-    runner_config.warmup = Seconds(10);
-    runner_config.cooldown = Seconds(10);
     CoreWorkload workload(workload_config, 42);
     LoadRunner runner(&world.loop(), &workload,
-                      MakeKvExecutor(stack.client.get(), KvMode::kIcg), runner_config);
+                      MakeKvExecutor(stack.client.get(), KvMode::kIcg),
+                      {.threads = 48,  // past the saturation knee
+                       .duration = Seconds(45),
+                       .warmup = Seconds(10),
+                       .cooldown = Seconds(10)});
     const RunnerResult result = runner.Run();
     table.AddRow({std::to_string(flush_us), bench::Fmt(result.throughput_ops, 0),
                   bench::Fmt(result.final_view.mean_ms())});
@@ -60,55 +55,28 @@ void AblateFlushCost() {
 void AblateConfirmations() {
   bench::Table table({"write ratio", "divergence", "CC2 (kB/op)", "*CC2 (kB/op)", "saving"});
   for (const double write_ratio : {0.0, 0.05, 0.2, 0.5}) {
-    double kb[2];
+    double kb[2] = {0, 0};
     double divergence = 0;
     for (const bool confirmations : {false, true}) {
-      SimWorld world(77);
-      CassandraBindingConfig binding;
-      binding.strong_read_quorum = 2;
-      binding.confirmations = confirmations;
-      // Divergence needs remote writers: the 3-client deployment of Figures 7/8.
-      auto stack = MakeCassandraStack(world, KvConfig{}, binding);
-      auto frk_client =
-          AddCassandraClient(world, stack, binding, Region::kFrankfurt, Region::kVirginia);
-      auto vrg_client =
-          AddCassandraClient(world, stack, binding, Region::kVirginia, Region::kIreland);
       WorkloadConfig workload_config;
       workload_config.record_count = kRecords;
       workload_config.read_proportion = 1.0 - write_ratio;
       workload_config.update_proportion = write_ratio;
       workload_config.request_distribution = RequestDistribution::kLatest;
       workload_config.field_count = 10;
-      PreloadYcsbDataset(stack.cluster.get(), workload_config);
-
-      RunnerConfig runner_config;
-      runner_config.threads = 60;
-      runner_config.duration = Seconds(45);
-      runner_config.warmup = Seconds(10);
-      runner_config.cooldown = 0;
-      CoreWorkload w_irl(workload_config, 77);
-      CoreWorkload w_frk(workload_config, 78);
-      CoreWorkload w_vrg(workload_config, 79);
-      LoadRunner irl(&world.loop(), &w_irl, MakeKvExecutor(stack.client.get(), KvMode::kIcg),
-                     runner_config);
-      LoadRunner frk(&world.loop(), &w_frk,
-                     MakeKvExecutor(frk_client.client.get(), KvMode::kIcg), runner_config);
-      LoadRunner vrg(&world.loop(), &w_vrg,
-                     MakeKvExecutor(vrg_client.client.get(), KvMode::kIcg), runner_config);
-      irl.Begin();
-      frk.Begin();
-      vrg.Begin();
-      world.loop().Schedule(runner_config.warmup,
-                            [&world]() { world.network().ResetStats(); });
-      world.loop().RunUntil(world.loop().Now() + runner_config.duration + Seconds(5));
-      const RunnerResult result = irl.Collect();
-      kb[confirmations ? 1 : 0] =
-          result.measured_ops == 0
-              ? 0.0
-              : static_cast<double>(stack.kv_client->LinkBytes()) /
-                    static_cast<double>(result.measured_ops) / 1000.0;
+      // Divergence needs remote writers: the 3-client deployment of Figures 7/8.
+      bench::RegionalTrial trial({.seed = 77,
+                                  .binding = {.confirmations = confirmations},
+                                  .workload = workload_config});
+      trial.AddLoad({.threads = 60,
+                     .duration = Seconds(45),
+                     .warmup = Seconds(10),
+                     .cooldown = 0},
+                    {77, 78, 79}, bench::KvExecutors(KvMode::kIcg));
+      const bench::RegionalTrial::Bandwidth bandwidth = trial.RunIrlBandwidth();
+      kb[confirmations ? 1 : 0] = bandwidth.kb_per_op;
       if (confirmations) {
-        divergence = result.DivergencePercent();
+        divergence = bandwidth.irl.DivergencePercent();
       }
     }
     table.AddRow({bench::Fmt(write_ratio, 2), bench::Fmt(divergence, 1) + "%",
@@ -136,6 +104,8 @@ void AblateViewCount() {
   bench::Table table({"views requested", "throughput (ops/s)", "first view (ms)",
                       "final view (ms)"});
   for (const auto& selection : selections) {
+    // Declared before the world: the sessions outlive anything the world still holds.
+    bench::ClosedLoops<int> sessions;
     SimWorld world(99);
     auto stack = MakeNewsStack(world, PbConfig{});
     for (int i = 0; i < 1000; ++i) {
@@ -147,31 +117,29 @@ void AblateViewCount() {
     int64_t ops = 0;
     LatencyRecorder first_view;
     LatencyRecorder final_view;
-    std::vector<std::shared_ptr<std::function<void(int)>>> loops;
     for (int s = 0; s < kSessions; ++s) {
-      auto next = std::make_shared<std::function<void(int)>>();
-      *next = [&, next](int i) {
-        if (world.loop().Now() >= end) {
-          return;
-        }
-        const SimTime start = world.loop().Now();
-        auto first_at = std::make_shared<std::optional<SimTime>>();
-        auto c = stack.client->Invoke(
-            Operation::Get("news:" + std::to_string((i * 37) % 1000)), selection.levels);
-        c.OnUpdate([first_at, start](const View<OpResult>& v) {
-          if (!first_at->has_value()) {
-            *first_at = v.delivered_at - start;
-          }
-        });
-        c.OnFinal([&, first_at, start, next, i](const View<OpResult>& v) {
-          ops++;
-          final_view.Record(v.delivered_at - start);
-          first_view.Record(first_at->has_value() ? **first_at : v.delivered_at - start);
-          (*next)(i + 1);
-        });
-      };
-      loops.push_back(next);
-      (*next)(s * 101);
+      sessions.Start(
+          [&](const bench::ClosedLoops<int>::Next& next, int i) {
+            if (world.loop().Now() >= end) {
+              return;
+            }
+            const SimTime start = world.loop().Now();
+            auto first_at = std::make_shared<std::optional<SimTime>>();
+            auto c = stack.client->Invoke(
+                Operation::Get("news:" + std::to_string((i * 37) % 1000)), selection.levels);
+            c.OnUpdate([first_at, start](const View<OpResult>& v) {
+              if (!first_at->has_value()) {
+                *first_at = v.delivered_at - start;
+              }
+            });
+            c.OnFinal([&, first_at, start, i](const View<OpResult>& v) {
+              ops++;
+              final_view.Record(v.delivered_at - start);
+              first_view.Record(first_at->has_value() ? **first_at : v.delivered_at - start);
+              next(i + 1);
+            });
+          },
+          s * 101);
     }
     world.loop().RunUntil(end + Seconds(2));
     table.AddRow({selection.label, bench::Fmt(static_cast<double>(ops) / 30.0, 0),

@@ -123,16 +123,9 @@ int main(int argc, char** argv) {
   const double follow_ratio = pre_ramp > 0 ? ramp_rate / pre_ramp : 0.0;
 
   // When did throughput first track the ramp? First bucket at or after ramp_start
-  // whose rate reaches 5x the pre-ramp plateau.
-  double followed_after_ms = -1.0;
-  for (size_t i = completions.Index(ramp_start);
-       i < completions.Index(ramp_end) && i < completions.size(); ++i) {
-    if (completions.Rate(i) >= 5.0 * pre_ramp) {
-      followed_after_ms =
-          ToMillis(static_cast<SimTime>(i) * kBucket - ramp_start + kBucket);
-      break;
-    }
-  }
+  // whose rate reaches 5x the pre-ramp plateau (ramp_start is bucket-aligned).
+  const double followed_after_ms =
+      completions.MillisToReach(ramp_start, phase_ramp, 5.0 * pre_ramp);
 
   // Shed decay: nothing may shed from one second after the load returns to low rate.
   const int64_t sheds_after_settle = sheds.CountFrom(ramp_end + Seconds(1));

@@ -18,10 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "src/harness/deployment.h"
-#include "src/harness/executors.h"
-#include "src/ycsb/multi_runner.h"
+#include "bench/scaffold.h"
 
 namespace icg {
 namespace {
@@ -46,50 +43,31 @@ struct TrialResult {
 
 TrialResult RunTrial(SimDuration window, int threads_per_client, SimDuration duration,
                      SimDuration elide, uint64_t seed) {
-  SimWorld world(seed);
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
   BatchConfig batch;
   batch.batch_window = window;
+  bench::RegionalTrial trial(
+      {.seed = seed,
+       .coordinators = 3,
+       .batch = batch,
+       .workload = WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords)});
+  trial.AddLoad(
+      {.threads = threads_per_client, .duration = duration, .warmup = elide, .cooldown = elide},
+      bench::RegionalSeeds(seed), bench::KvExecutors(KvMode::kIcg));
 
-  auto stack = MakeShardedCassandraStack(world, /*n_coordinators=*/3, KvConfig{}, binding,
-                                         Region::kIreland,
-                                         {Region::kFrankfurt, Region::kIreland,
-                                          Region::kVirginia},
-                                         batch);
-  auto& frk = AddShardedCassandraClient(world, stack, binding, Region::kFrankfurt, batch);
-  auto& vrg = AddShardedCassandraClient(world, stack, binding, Region::kVirginia, batch);
-
-  const WorkloadConfig workload =
-      WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords);
-  PreloadYcsbDataset(stack.cluster.get(), workload);
-
-  RunnerConfig config;
-  config.threads = threads_per_client;
-  config.duration = duration;
-  config.warmup = elide;
-  config.cooldown = elide;
-
-  MultiRunner runner(&world.loop(), config);
-  runner.AddClient(workload, seed * 3 + 1, MakeKvExecutor(stack.client(), KvMode::kIcg));
-  runner.AddClient(workload, seed * 3 + 2, MakeKvExecutor(frk.client.get(), KvMode::kIcg));
-  runner.AddClient(workload, seed * 3 + 3, MakeKvExecutor(vrg.client.get(), KvMode::kIcg));
-
-  TrialResult trial;
-  trial.load = runner.Run();
-  for (const auto& endpoint : stack.endpoints()) {
+  TrialResult result;
+  result.load = trial.Run();
+  for (const auto& endpoint : trial.sharded().endpoints()) {
     for (const auto& kv_client : endpoint->kv_clients) {
-      trial.client_link_messages += kv_client->LinkMessages();
-      trial.client_link_bytes += kv_client->LinkBytes();
+      result.client_link_messages += kv_client->LinkMessages();
+      result.client_link_bytes += kv_client->LinkBytes();
     }
   }
-  for (const CorrectableClient* client :
-       {stack.client(), frk.client.get(), vrg.client.get()}) {
-    trial.cross_tick_batches += client->stats().cross_tick_batches;
-    trial.coalesced_reads += client->stats().coalesced_reads;
-    trial.batched_writes += client->stats().batched_writes;
+  for (const CorrectableClient* client : trial.clients()) {
+    result.cross_tick_batches += client->stats().cross_tick_batches;
+    result.coalesced_reads += client->stats().coalesced_reads;
+    result.batched_writes += client->stats().batched_writes;
   }
-  return trial;
+  return result;
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
-// Shared output helpers for the figure-reproduction benchmarks: aligned tables with a
-// header naming the paper figure being regenerated, plus machine-readable JSON summaries
+// Shared helpers for the figure-reproduction benchmarks: aligned tables with a header
+// naming the paper figure being regenerated, machine-readable JSON summaries
 // (BENCH_<name>.json) so CI and perf-trajectory tooling can consume bench results
-// without parsing tables.
+// without parsing tables, completion buckets over virtual time, and the owner of
+// closed-loop sessions. The regional-trial builder lives in bench/scaffold.h.
 #ifndef ICG_BENCH_BENCH_UTIL_H_
 #define ICG_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,10 +65,61 @@ class TimeBuckets {
     }
     return events;
   }
+  // The transition scans, over the whole buckets in the `window` that starts with the
+  // bucket holding `from`. Dip: the worst bucket rate, or `baseline` if none is lower.
+  double Dip(SimTime from, SimDuration window, double baseline) const {
+    double dip = baseline;
+    for (size_t i = Index(from); i < WindowEnd(from, window); ++i) {
+      dip = std::min(dip, Rate(i));
+    }
+    return dip;
+  }
+  // Milliseconds from that first bucket's start to the end of the first bucket whose rate
+  // reaches `target`; -1 if none in the window does.
+  double MillisToReach(SimTime from, SimDuration window, double target) const {
+    for (size_t i = Index(from); i < WindowEnd(from, window); ++i) {
+      if (Rate(i) >= target) {
+        return ToMillis(static_cast<SimDuration>(i + 1 - Index(from)) * width_);
+      }
+    }
+    return -1.0;
+  }
 
  private:
+  size_t WindowEnd(SimTime from, SimDuration window) const {
+    return std::min(Index(from) + static_cast<size_t>(window / width_), counts_.size());
+  }
+
   SimDuration width_;
   std::vector<int64_t> counts_;
+};
+
+// Owns the closed-loop sessions of one trial. A session is a step that re-arms itself by
+// calling `next`, the session's own entry point, typically from a completion callback.
+// The steps live here rather than in closures that own themselves (a std::function that
+// captures the shared_ptr holding it never frees), so callbacks refer to their session
+// by reference. Must outlive every callback that can still call `next`.
+template <typename... Args>
+class ClosedLoops {
+ public:
+  using Next = std::function<void(Args...)>;
+  using Step = std::function<void(const Next& next, Args... args)>;
+
+  // Adds a session and runs its first step now.
+  void Start(Step step, Args... args) {
+    sessions_.push_back(std::make_unique<Session>());
+    Session* session = sessions_.back().get();
+    session->step = std::move(step);
+    session->next = [session](Args... a) { session->step(session->next, a...); };
+    session->next(args...);
+  }
+
+ private:
+  struct Session {
+    Step step;
+    Next next;
+  };
+  std::vector<std::unique_ptr<Session>> sessions_;
 };
 
 inline void PrintHeader(const std::string& figure, const std::string& description) {

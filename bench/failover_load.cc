@@ -23,14 +23,9 @@
 //
 // Flags: --smoke shortens the trial for CI smoke runs (the JSON summary is still
 // written); output includes BENCH_failover_load.json.
-#include <algorithm>
 #include <string>
 
-#include "bench/bench_util.h"
-#include "src/harness/deployment.h"
-#include "src/harness/executors.h"
-#include "src/harness/icg_oracle.h"
-#include "src/ycsb/multi_runner.h"
+#include "bench/scaffold.h"
 
 namespace icg {
 namespace {
@@ -63,80 +58,48 @@ int main(int argc, char** argv) {
       "entropy, re-admission. Every invocation is oracle-checked and every acked write\n"
       "must survive.");
 
-  SimWorld world(seed);
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
   KvConfig kv;
   kv.wal_fsync_service = Micros(120);  // real durable writes: fsync charged before ack
   kv.snapshot_every = 512;             // checkpoint cadence keeps replay tails bounded
-  auto stack = MakeShardedCassandraStack(world, /*n_coordinators=*/3, kv, binding,
-                                         Region::kIreland);
-  auto& frk = AddShardedCassandraClient(world, stack, binding, Region::kFrankfurt);
-  auto& vrg = AddShardedCassandraClient(world, stack, binding, Region::kVirginia);
+  bench::RegionalTrial trial(
+      {.seed = seed,
+       .coordinators = 3,
+       .kv = kv,
+       .workload = WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords)});
+  ShardedCassandraStack& stack = trial.sharded();
   // A corpse answers nothing: in-flight invocations against it must resolve by client
   // timeout, and a bounded shard queue sheds the backlog that builds before eviction.
-  stack.client()->SetTimeout(Seconds(2));
-  frk.client->SetTimeout(Seconds(2));
-  vrg.client->SetTimeout(Seconds(2));
+  for (CorrectableClient* client : trial.clients()) {
+    client->SetTimeout(Seconds(2));
+  }
   stack.SetShardQueueLimit(256);
   stack.EnableFailureDetection();
 
-  const WorkloadConfig workload =
-      WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords);
-  PreloadYcsbDataset(stack.cluster.get(), workload);
-
   // Timeouts and sheds during the failover window are expected: an errored write was
   // never acked, so durability promises nothing about it.
-  ContractChecker checker(SanctionedError::kAny, &world.loop());
-
-  RunnerConfig config;
-  config.threads = threads;
-  config.duration = duration;
-  config.warmup = warmup;
-  config.cooldown = warmup;
-
-  MultiRunner runner(&world.loop(), config);
-  runner.AddClient(workload, seed * 3 + 1, MakeOracleIcgExecutor(stack.client(), &checker));
-  runner.AddClient(workload, seed * 3 + 2, MakeOracleIcgExecutor(frk.client.get(), &checker));
-  runner.AddClient(workload, seed * 3 + 3, MakeOracleIcgExecutor(vrg.client.get(), &checker));
+  ContractChecker checker(SanctionedError::kAny, &trial.world().loop());
+  trial.AddLoad({.threads = threads, .duration = duration, .warmup = warmup, .cooldown = warmup},
+                bench::RegionalSeeds(seed), bench::OracleExecutors(&checker));
 
   const NodeId victim = stack.coordinator_ids().front();
-  world.loop().Schedule(crash_at, [&stack, victim]() { stack.CrashCoordinator(victim); });
-  world.loop().Schedule(recover_at,
-                        [&stack, victim]() { stack.RecoverCoordinator(victim); });
+  EventLoop& loop = trial.world().loop();
+  loop.Schedule(crash_at, [&stack, victim]() { stack.CrashCoordinator(victim); });
+  loop.Schedule(recover_at, [&stack, victim]() { stack.RecoverCoordinator(victim); });
   // Stop the heartbeat chain once the measured window is over so the loop can drain.
-  world.loop().Schedule(duration + warmup + Seconds(1),
-                        [&stack]() { stack.DisableFailureDetection(); });
+  loop.Schedule(duration + warmup + Seconds(1), [&stack]() { stack.DisableFailureDetection(); });
 
-  const RunnerResult load = runner.Run();
+  const RunnerResult load = trial.Run();
   checker.Finish();
-  bench::TimeBuckets completions(kBucket, duration);
-  for (const ContractChecker::Invocation& inv : checker.invocations()) {
-    if (inv.closed()) completions.Add(inv.closed_at);
-  }
+  const bench::TimeBuckets completions = bench::CompletionBuckets(checker, kBucket, duration);
 
   const double pre_crash = completions.RateOver(warmup, crash_at);
   const double outage = completions.RateOver(crash_at + settle, recover_at);
   const double post_recovery = completions.RateOver(recover_at + settle, duration - warmup);
   // Worst bucket right after the crash, and time until the completion rate first
   // reached the pre-crash plateau again after the restart.
-  const size_t crash_bucket = completions.Index(crash_at);
-  const size_t settle_buckets = static_cast<size_t>(settle / kBucket);
-  double dip = pre_crash;
-  for (size_t i = crash_bucket; i < crash_bucket + settle_buckets && i < completions.size();
-       ++i) {
-    dip = std::min(dip, completions.Rate(i));
-  }
-  const size_t recover_bucket = completions.Index(recover_at);
-  double rejoin_recovery_ms = -1.0;
-  for (size_t i = recover_bucket;
-       i < recover_bucket + settle_buckets && i < completions.size(); ++i) {
-    const double rate = completions.Rate(i);
-    if (rate >= 0.9 * pre_crash) {
-      rejoin_recovery_ms = ToMillis(static_cast<SimDuration>(i + 1 - recover_bucket) * kBucket);
-      break;
-    }
-  }
+  const double dip = completions.Dip(crash_at, settle, pre_crash);
+  const double rejoin_recovery_ms =
+      completions.MillisToReach(recover_at, settle, 0.9 * pre_crash);
 
   // Failover bookkeeping from the harness: detection latency and rejoin epoch.
   double detection_ms = -1.0;
@@ -184,10 +147,9 @@ int main(int argc, char** argv) {
                                recovered->last_recovery().bootstrap_complete;
   const bool throughput_back = post_recovery >= 0.9 * pre_crash;
 
-  const auto issued = static_cast<int64_t>(checker.invocations().size());
-  const int64_t completed = checker.finals() + checker.errors();
   std::printf("ops issued %lld, completed %lld (%lld errors during failover); oracle: %s\n",
-              static_cast<long long>(issued), static_cast<long long>(completed),
+              static_cast<long long>(bench::OracleIssued(checker)),
+              static_cast<long long>(bench::OracleCompleted(checker)),
               static_cast<long long>(checker.errors()),
               oracle_clean ? "clean (no duplication, reordering, or acked loss)"
                            : ("VIOLATED: " + checker.Report()).c_str());
@@ -239,15 +201,7 @@ int main(int argc, char** argv) {
   json.Add("ring_epoch_after", static_cast<int64_t>(stack.ring_epoch()));
   json.Add("durability.acked_keys", acked_keys);
   json.Add("durability.acked_lost", acked_lost);
-  json.Add("oracle.issued", issued);
-  json.Add("oracle.completed", completed);
-  json.Add("oracle.errors", checker.errors());
-  json.Add("oracle.duplicate_finals", violations.duplicate_finals);
-  json.Add("oracle.monotonicity_violations", violations.regressions);
-  json.Add("oracle.views_after_terminal", violations.after_terminal);
-  json.Add("oracle.violations", violations.total());
-  json.Add("load.errors", load.errors);
-  json.AddLatencies("load", load.throughput_ops, load.preliminary, load.final_view);
+  bench::AddOracleJson(json, checker, load);
   json.Write();
 
   return oracle_clean && detected && recovered_clean && throughput_back ? 0 : 1;

@@ -12,64 +12,25 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "src/harness/deployment.h"
-#include "src/harness/executors.h"
+#include "bench/scaffold.h"
 
 namespace icg {
 namespace {
 
 constexpr int64_t kRecords = 1000;
 
-struct Efficiency {
-  double kb_per_op = 0;
-  double divergence_pct = 0;
-};
-
-Efficiency MeasureEfficiency(const WorkloadConfig& workload_config, KvMode mode,
-                             bool confirmations, int total_threads, uint64_t seed) {
-  SimWorld world(seed);
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-  binding.confirmations = confirmations;
-  auto stack = MakeCassandraStack(world, KvConfig{}, binding, Region::kIreland,
-                                  Region::kFrankfurt);
-  auto frk_client =
-      AddCassandraClient(world, stack, binding, Region::kFrankfurt, Region::kVirginia);
-  auto vrg_client =
-      AddCassandraClient(world, stack, binding, Region::kVirginia, Region::kIreland);
-  PreloadYcsbDataset(stack.cluster.get(), workload_config);
-
-  RunnerConfig runner_config;
-  runner_config.threads = total_threads / 3;
-  runner_config.duration = Seconds(45);
-  runner_config.warmup = Seconds(15);
-  runner_config.cooldown = 0;  // byte accounting runs to the trial end
-
-  CoreWorkload w_irl(workload_config, seed * 3 + 1);
-  CoreWorkload w_frk(workload_config, seed * 3 + 2);
-  CoreWorkload w_vrg(workload_config, seed * 3 + 3);
-  LoadRunner irl(&world.loop(), &w_irl, MakeKvExecutor(stack.client.get(), mode),
-                 runner_config);
-  LoadRunner frk(&world.loop(), &w_frk, MakeKvExecutor(frk_client.client.get(), mode),
-                 runner_config);
-  LoadRunner vrg(&world.loop(), &w_vrg, MakeKvExecutor(vrg_client.client.get(), mode),
-                 runner_config);
-  irl.Begin();
-  frk.Begin();
-  vrg.Begin();
-  // Start byte accounting at the warmup boundary so kB/op covers the measured ops.
-  world.loop().Schedule(runner_config.warmup, [&world]() { world.network().ResetStats(); });
-  world.loop().RunUntil(world.loop().Now() + runner_config.duration + Seconds(5));
-
-  const RunnerResult result = irl.Collect();
-  Efficiency eff;
-  eff.kb_per_op = result.measured_ops == 0
-                      ? 0.0
-                      : static_cast<double>(stack.kv_client->LinkBytes()) /
-                            static_cast<double>(result.measured_ops) / 1000.0;
-  eff.divergence_pct = result.DivergencePercent();
-  return eff;
+// The IRL client's link kB per measured op and its result.
+bench::RegionalTrial::Bandwidth MeasureEfficiency(const WorkloadConfig& workload_config,
+                                                  KvMode mode, bool confirmations,
+                                                  int total_threads, uint64_t seed) {
+  bench::RegionalTrial trial(
+      {.seed = seed, .binding = {.confirmations = confirmations}, .workload = workload_config});
+  trial.AddLoad({.threads = total_threads / 3,
+                 .duration = Seconds(45),
+                 .warmup = Seconds(15),
+                 .cooldown = 0},  // byte accounting runs to the trial end
+                bench::RegionalSeeds(seed), bench::KvExecutors(mode));
+  return trial.RunIrlBandwidth();
 }
 
 void RunWorkload(const char* name, const WorkloadConfig& base,
@@ -83,15 +44,14 @@ void RunWorkload(const char* name, const WorkloadConfig& base,
                       "*CC2 overhead", "divergence"});
   uint64_t seed = 800;
   for (const int threads : {30, 60, 120, 180, 240, 300}) {
-    const Efficiency c1 =
-        MeasureEfficiency(config, KvMode::kWeakOnly, false, threads, seed++);
-    const Efficiency cc2 = MeasureEfficiency(config, KvMode::kIcg, false, threads, seed++);
-    const Efficiency cc2_opt = MeasureEfficiency(config, KvMode::kIcg, true, threads, seed++);
+    const auto c1 = MeasureEfficiency(config, KvMode::kWeakOnly, false, threads, seed++);
+    const auto cc2 = MeasureEfficiency(config, KvMode::kIcg, false, threads, seed++);
+    const auto cc2_opt = MeasureEfficiency(config, KvMode::kIcg, true, threads, seed++);
     table.AddRow({std::to_string(threads), bench::Fmt(c1.kb_per_op, 2),
                   bench::Fmt(cc2.kb_per_op, 2), bench::Fmt(cc2_opt.kb_per_op, 2),
                   "+" + bench::Fmt(100.0 * (cc2.kb_per_op / c1.kb_per_op - 1.0), 0) + "%",
                   "+" + bench::Fmt(100.0 * (cc2_opt.kb_per_op / c1.kb_per_op - 1.0), 0) + "%",
-                  bench::Fmt(cc2_opt.divergence_pct, 1) + "%"});
+                  bench::Fmt(cc2_opt.irl.DivergencePercent(), 1) + "%"});
   }
   std::printf("--- %s / %s distribution ---\n", name, RequestDistributionName(distribution));
   table.Print();

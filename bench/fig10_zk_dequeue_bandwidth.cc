@@ -7,7 +7,6 @@
 // constant-sized tail relevant for dequeuing", making the cost independent of queue size
 // (it still grows with contention, via retries).
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -37,33 +36,27 @@ Result RunContention(int64_t queue_size, int num_clients, bool czk, uint64_t see
     clients.push_back(stack.cluster->MakeClient(Region::kIreland, Region::kFrankfurt));
   }
 
-  auto remaining = std::make_shared<int64_t>(total_dequeues);
-  auto completed = std::make_shared<int64_t>(0);
-  // `loops` owns each client's dequeue loop for the whole run; the closures refer to it
-  // by raw pointer so no loop owns itself.
-  std::vector<std::shared_ptr<std::function<void()>>> loops;
+  int64_t remaining = total_dequeues;
+  int64_t completed = 0;
+  bench::ClosedLoops<> loops;
   for (auto& client : clients) {
-    ZabClient* c = client.get();
-    auto next = std::make_shared<std::function<void()>>();
-    loops.push_back(next);
-    *next = [c, czk, remaining, completed, next = next.get()]() {
-      if (*remaining <= 0) {
+    loops.Start([c = client.get(), czk, &remaining, &completed](const auto& next) {
+      if (remaining <= 0) {
         return;
       }
-      (*remaining)--;
-      auto done = [completed, next](StatusOr<OpResult> result) {
+      remaining--;
+      auto done = [&completed, &next](StatusOr<OpResult> result) {
         if (result.ok() && result->found) {
-          (*completed)++;
+          completed++;
         }
-        (*next)();
+        next();
       };
       if (czk) {
         c->RecipeDequeueCzk("q", done);
       } else {
         c->RecipeDequeueZk("q", done);
       }
-    };
-    (*next)();
+    });
   }
   world.loop().Run();
 
@@ -74,9 +67,9 @@ Result RunContention(int64_t queue_size, int num_clients, bool czk, uint64_t see
     retries += client->recipe_retries();
   }
   Result result;
-  result.kb_per_op = *completed == 0
+  result.kb_per_op = completed == 0
                          ? 0.0
-                         : static_cast<double>(bytes) / static_cast<double>(*completed) / 1000.0;
+                         : static_cast<double>(bytes) / static_cast<double>(completed) / 1000.0;
   result.retries = retries;
   return result;
 }

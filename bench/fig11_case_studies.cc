@@ -43,8 +43,7 @@ enum class App { kAds, kTwissandra };
 Point RunTrial(App app, const WorkloadConfig& workload_config, bool use_icg, int threads,
                uint64_t seed) {
   SimWorld world(seed);
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
+  const CassandraBindingConfig binding;  // CC2: strong reads at R=2
 
   const bool ads = app == App::kAds;
   auto stack = ads ? MakeCassandraStack(world, KvConfig{}, binding, Region::kIreland,
@@ -68,14 +67,12 @@ Point RunTrial(App app, const WorkloadConfig& workload_config, bool use_icg, int
     executor = MakeTwissandraExecutor(twissandra.get(), use_icg);
   }
 
-  RunnerConfig runner_config;
-  runner_config.threads = threads;
-  runner_config.duration = Seconds(45);
-  runner_config.warmup = Seconds(10);
-  runner_config.cooldown = Seconds(10);
-
   CoreWorkload workload(workload_config, seed + 17);
-  LoadRunner runner(&world.loop(), &workload, executor, runner_config);
+  LoadRunner runner(&world.loop(), &workload, executor,
+                    {.threads = threads,
+                     .duration = Seconds(45),
+                     .warmup = Seconds(10),
+                     .cooldown = Seconds(10)});
   const RunnerResult result = runner.Run();
 
   Point point;

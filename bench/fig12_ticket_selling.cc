@@ -10,7 +10,6 @@
 // Paper's shape: CZK purchase latency stays near the client-follower RTT until the
 // last-20 threshold, then jumps to ZK's level (higher and more variable due to
 // contention); on average only the last ~2 tickets (max 6) are revoked by final views.
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -58,44 +57,36 @@ RunStats RunSale(bool czk, uint64_t seed) {
         std::make_unique<TicketSeller>(endpoints.back().client.get(), ticket_config));
   }
 
-  auto stats = std::make_shared<RunStats>();
-  auto purchases = std::make_shared<int64_t>(0);
-  // Closed loop per retailer: keep buying until sold out. `loops` owns each purchase
-  // loop for the whole run; the closures refer to it by raw pointer so no loop owns
-  // itself.
-  std::vector<std::shared_ptr<std::function<void()>>> loops;
+  RunStats stats;
+  int64_t purchases = 0;
+  // Closed loop per retailer: keep buying until sold out.
+  bench::ClosedLoops<> loops;
   for (auto& seller : sellers) {
-    auto next = std::make_shared<std::function<void()>>();
-    TicketSeller* s = seller.get();
-    *next = [s, next = next.get(), stats, purchases]() {
-      s->PurchaseTicket([next, stats, purchases](PurchaseOutcome outcome) {
+    loops.Start([s = seller.get(), &stats, &purchases](const auto& next) {
+      s->PurchaseTicket([&next, &stats, &purchases](PurchaseOutcome outcome) {
         if (outcome.purchased) {
-          (*purchases)++;
+          purchases++;
           TicketSample sample;
-          sample.ticket_number = *purchases;
+          sample.ticket_number = purchases;
           sample.latency_ms = ToMillis(outcome.latency);
           sample.via_preliminary = outcome.via_preliminary;
-          stats->samples.push_back(sample);
-          (*next)();
+          stats.samples.push_back(sample);
+          next();
         }
         // Sold out (or error): the retailer stops.
       });
-    };
-    loops.push_back(next);
-    (*next)();
+    });
   }
   world.loop().Run();
 
   for (auto& seller : sellers) {
-    stats->revocations += seller->revocations();
-    stats->preliminary_purchases += seller->preliminary_purchases();
+    stats.revocations += seller->revocations();
+    stats.preliminary_purchases += seller->preliminary_purchases();
   }
-  return *stats;
+  return stats;
 }
 
-double AvgLatencyInRange(const std::vector<RunStats>& runs, int64_t lo, int64_t hi,
-                         bool czk_only_prelim) {
-  (void)czk_only_prelim;
+double AvgLatencyInRange(const std::vector<RunStats>& runs, int64_t lo, int64_t hi) {
   double sum = 0;
   int64_t count = 0;
   for (const auto& run : runs) {
@@ -131,15 +122,14 @@ int main() {
   for (int64_t lo = 1; lo <= kStock; lo += 50) {
     const int64_t hi = std::min<int64_t>(lo + 49, kStock);
     table.AddRow({std::to_string(lo) + "-" + std::to_string(hi),
-                  bench::Fmt(AvgLatencyInRange(czk_runs, lo, hi, true)),
-                  bench::Fmt(AvgLatencyInRange(zk_runs, lo, hi, false))});
+                  bench::Fmt(AvgLatencyInRange(czk_runs, lo, hi)),
+                  bench::Fmt(AvgLatencyInRange(zk_runs, lo, hi))});
   }
   // Zoom into the threshold crossover, mirroring the paper's "last 20 tickets" callout.
-  table.AddRow({"last 40..21", bench::Fmt(AvgLatencyInRange(czk_runs, kStock - 39, kStock - 20,
-                                                            true)),
-                bench::Fmt(AvgLatencyInRange(zk_runs, kStock - 39, kStock - 20, false))});
-  table.AddRow({"last 20", bench::Fmt(AvgLatencyInRange(czk_runs, kStock - 19, kStock, true)),
-                bench::Fmt(AvgLatencyInRange(zk_runs, kStock - 19, kStock, false))});
+  table.AddRow({"last 40..21", bench::Fmt(AvgLatencyInRange(czk_runs, kStock - 39, kStock - 20)),
+                bench::Fmt(AvgLatencyInRange(zk_runs, kStock - 39, kStock - 20))});
+  table.AddRow({"last 20", bench::Fmt(AvgLatencyInRange(czk_runs, kStock - 19, kStock)),
+                bench::Fmt(AvgLatencyInRange(zk_runs, kStock - 19, kStock))});
   table.Print();
 
   double avg_revocations = 0;

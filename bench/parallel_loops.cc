@@ -18,23 +18,13 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "src/harness/deployment.h"
-#include "src/harness/executors.h"
-#include "src/ycsb/multi_runner.h"
+#include "bench/scaffold.h"
 
 namespace icg {
 namespace {
 
 constexpr int kWorlds = 4;
 constexpr int64_t kRecords = 4000;
-
-struct BenchWorld {
-  explicit BenchWorld(uint64_t seed) : world(seed) {}
-  SimWorld world;
-  std::unique_ptr<ShardedCassandraStack> stack;
-  std::unique_ptr<MultiRunner> runner;
-};
 
 struct TrialOutcome {
   double wall_seconds = 0;
@@ -48,71 +38,41 @@ struct TrialOutcome {
 // and collects wall-clock + merged simulated results.
 TrialOutcome RunTrial(int threads, int runner_threads, SimDuration duration,
                       SimDuration elide, uint64_t seed) {
-
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-  const WorkloadConfig workload =
-      WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords);
-
-  RunnerConfig config;
-  config.threads = runner_threads;
-  config.duration = duration;
-  config.warmup = elide;
-  config.cooldown = elide;
-
-  std::vector<std::unique_ptr<BenchWorld>> worlds;
+  std::vector<std::unique_ptr<bench::RegionalTrial>> trials;
   for (int w = 0; w < kWorlds; ++w) {
-    auto bw = std::make_unique<BenchWorld>(seed + static_cast<uint64_t>(w) * 1009);
-    bw->stack = std::make_unique<ShardedCassandraStack>(MakeShardedCassandraStack(
-        bw->world, /*n_coordinators=*/3, KvConfig{}, binding, Region::kIreland));
-    auto& frk = AddShardedCassandraClient(bw->world, *bw->stack, binding,
-                                          Region::kFrankfurt);
-    auto& vrg = AddShardedCassandraClient(bw->world, *bw->stack, binding,
-                                          Region::kVirginia);
-    PreloadYcsbDataset(bw->stack->cluster.get(), workload);
-
-    bw->runner = std::make_unique<MultiRunner>(&bw->world.loop(), config);
-    const uint64_t ws = seed + static_cast<uint64_t>(w) * 7;
-    bw->runner->AddClient(workload, ws * 3 + 1,
-                          MakeKvExecutor(bw->stack->client(), KvMode::kIcg));
-    bw->runner->AddClient(workload, ws * 3 + 2,
-                          MakeKvExecutor(frk.client.get(), KvMode::kIcg));
-    bw->runner->AddClient(workload, ws * 3 + 3,
-                          MakeKvExecutor(vrg.client.get(), KvMode::kIcg));
-    worlds.push_back(std::move(bw));
+    trials.push_back(std::make_unique<bench::RegionalTrial>(bench::RegionalTrialConfig{
+        .seed = seed + static_cast<uint64_t>(w) * 1009,
+        .coordinators = 3,
+        .workload = WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords)}));
+    trials.back()->AddLoad(
+        {.threads = runner_threads, .duration = duration, .warmup = elide, .cooldown = elide},
+        bench::RegionalSeeds(seed + static_cast<uint64_t>(w) * 7),
+        bench::KvExecutors(KvMode::kIcg));
   }
 
   std::vector<SimWorld*> sim_worlds;
   const auto start = std::chrono::steady_clock::now();
-  for (auto& bw : worlds) {
-    bw->runner->Begin();
-    sim_worlds.push_back(&bw->world);
+  for (auto& trial : trials) {
+    trial->runner().Begin();
+    sim_worlds.push_back(&trial->world());
   }
   RunWorldsUntil(sim_worlds, duration + 2 * elide + Seconds(5), threads);
   const auto stop = std::chrono::steady_clock::now();
 
   TrialOutcome outcome;
   outcome.wall_seconds = std::chrono::duration<double>(stop - start).count();
-  for (const auto& bw : worlds) {
-    const RunnerResult r = bw->runner->Collect();
+  for (const auto& trial : trials) {
+    const RunnerResult r = trial->runner().Collect();
     outcome.throughput_ops += r.throughput_ops;
     outcome.measured_ops += r.measured_ops;
     outcome.errors += r.errors;
     ClientStats world_stats;
-    for (const auto& endpoint : bw->stack->endpoints()) {
-      AddClientStats(world_stats, endpoint->client->stats());
+    for (const CorrectableClient* client : trial->clients()) {
+      AddClientStats(world_stats, client->stats());
     }
     outcome.per_world_stats.push_back(world_stats);
   }
   return outcome;
-}
-
-bool StatsEqual(const ClientStats& a, const ClientStats& b) {
-  return a.invocations == b.invocations && a.views_delivered == b.views_delivered &&
-         a.confirmations == b.confirmations && a.divergences == b.divergences &&
-         a.errors == b.errors && a.timeouts == b.timeouts &&
-         a.batched_invocations == b.batched_invocations &&
-         a.coalesced_reads == b.coalesced_reads;
 }
 
 }  // namespace
@@ -145,13 +105,11 @@ int main(int argc, char** argv) {
 
   // Determinism oracle: the threaded run is the *same simulation*, so every simulated
   // observable must match the sequential run exactly.
-  bool deterministic = sequential.measured_ops == threaded.measured_ops &&
-                       sequential.errors == threaded.errors &&
-                       std::abs(sequential.throughput_ops - threaded.throughput_ops) < 1e-9;
-  for (int w = 0; w < kWorlds && deterministic; ++w) {
-    deterministic = StatsEqual(sequential.per_world_stats[static_cast<size_t>(w)],
-                               threaded.per_world_stats[static_cast<size_t>(w)]);
-  }
+  const bool deterministic =
+      sequential.measured_ops == threaded.measured_ops &&
+      sequential.errors == threaded.errors &&
+      std::abs(sequential.throughput_ops - threaded.throughput_ops) < 1e-9 &&
+      sequential.per_world_stats == threaded.per_world_stats;
 
   const double speedup = threaded.wall_seconds > 0
                              ? sequential.wall_seconds / threaded.wall_seconds

@@ -21,14 +21,9 @@
 // Flags: --smoke shortens the trial for CI smoke runs (the JSON summary is still
 // written); output includes BENCH_rebalance_load.json with pre/post throughput, the
 // transition-dip depth, recovery time, and the oracle counters.
-#include <algorithm>
 #include <string>
 
-#include "bench/bench_util.h"
-#include "src/harness/deployment.h"
-#include "src/harness/executors.h"
-#include "src/harness/icg_oracle.h"
-#include "src/ycsb/multi_runner.h"
+#include "bench/scaffold.h"
 
 namespace icg {
 namespace {
@@ -57,64 +52,36 @@ int main(int argc, char** argv) {
       "Every invocation is oracle-checked through the transition (monotone views,\n"
       "exactly one terminal).");
 
-  SimWorld world(seed);
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-  auto stack = MakeShardedCassandraStack(world, /*n_coordinators=*/2, KvConfig{}, binding,
-                                         Region::kIreland);
-  auto& frk = AddShardedCassandraClient(world, stack, binding, Region::kFrankfurt);
-  auto& vrg = AddShardedCassandraClient(world, stack, binding, Region::kVirginia);
-
-  const WorkloadConfig workload = WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords);
-  PreloadYcsbDataset(stack.cluster.get(), workload);
-
-  ContractChecker checker(SanctionedError::kNone, &world.loop());
-
-  RunnerConfig config;
-  config.threads = threads;
-  config.duration = duration;
-  config.warmup = warmup;
-  config.cooldown = warmup;
-
-  MultiRunner runner(&world.loop(), config);
-  runner.AddClient(workload, seed * 3 + 1, MakeOracleIcgExecutor(stack.client(), &checker));
-  runner.AddClient(workload, seed * 3 + 2, MakeOracleIcgExecutor(frk.client.get(), &checker));
-  runner.AddClient(workload, seed * 3 + 3, MakeOracleIcgExecutor(vrg.client.get(), &checker));
+  bench::RegionalTrial trial(
+      {.seed = seed,
+       .coordinators = 2,
+       .workload = WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords)});
+  ShardedCassandraStack& stack = trial.sharded();
+  ContractChecker checker(SanctionedError::kNone, &trial.world().loop());
+  trial.AddLoad({.threads = threads, .duration = duration, .warmup = warmup, .cooldown = warmup},
+                bench::RegionalSeeds(seed), bench::OracleExecutors(&checker));
 
   // The membership change, scheduled into the middle of the trial.
   const NodeId joiner = stack.cluster->replicas().back()->id();
   double moved_fraction = 0.0;
   uint64_t epoch_after = 0;
-  world.loop().Schedule(join_at, [&stack, joiner, &moved_fraction, &epoch_after]() {
+  trial.world().loop().Schedule(join_at, [&stack, joiner, &moved_fraction, &epoch_after]() {
     const auto diff = stack.AddCoordinator(joiner);
     moved_fraction = diff.MovedFraction();
     epoch_after = stack.ring_epoch();
   });
 
-  const RunnerResult load = runner.Run();
+  const RunnerResult load = trial.Run();
   checker.Finish();
-  bench::TimeBuckets completions(kBucket, duration);
-  for (const ContractChecker::Invocation& inv : checker.invocations()) {
-    if (inv.closed()) completions.Add(inv.closed_at);
-  }
+  const bench::TimeBuckets completions = bench::CompletionBuckets(checker, kBucket, duration);
 
   // Pre-join plateau vs. post-join steady state, from the completion buckets.
   const double pre_join = completions.RateOver(warmup, join_at);
   const double post_join = completions.RateOver(join_at + settle, duration - warmup);
   // Transition detail: the worst bucket right after the join, and how long until the
   // completion rate first met the pre-join plateau again.
-  const size_t join_bucket = completions.Index(join_at);
-  const size_t settle_buckets = static_cast<size_t>(settle / kBucket);
-  double dip = pre_join;
-  double recovery_ms = -1.0;
-  for (size_t i = join_bucket; i < join_bucket + settle_buckets && i < completions.size();
-       ++i) {
-    const double rate = completions.Rate(i);
-    dip = std::min(dip, rate);
-    if (recovery_ms < 0 && rate >= pre_join) {
-      recovery_ms = ToMillis(static_cast<SimDuration>(i + 1 - join_bucket) * kBucket);
-    }
-  }
+  const double dip = completions.Dip(join_at, settle, pre_join);
+  const double recovery_ms = completions.MillisToReach(join_at, settle, pre_join);
 
   bench::Table table({"phase", "throughput (ops/s)", "notes"});
   table.AddRow({"pre-join (2 coordinators)", bench::Fmt(pre_join, 0),
@@ -125,13 +92,11 @@ int main(int argc, char** argv) {
                 "steady state, ring epoch " + std::to_string(epoch_after)});
   table.Print();
 
-  const ContractViolations& violations = checker.violations();
-  const bool oracle_clean = violations.total() == 0;
+  const bool oracle_clean = checker.violations().total() == 0;
   const bool recovered = post_join >= pre_join;
-  const auto issued = static_cast<int64_t>(checker.invocations().size());
-  const int64_t completed = checker.finals() + checker.errors();
-  std::printf("ops issued %lld, completed %lld; oracle: %s\n", static_cast<long long>(issued),
-              static_cast<long long>(completed),
+  std::printf("ops issued %lld, completed %lld; oracle: %s\n",
+              static_cast<long long>(bench::OracleIssued(checker)),
+              static_cast<long long>(bench::OracleCompleted(checker)),
               oracle_clean ? "clean (no loss, duplication, or reordering)"
                            : ("VIOLATED: " + checker.Report()).c_str());
   std::printf("moved key share at join: %.1f%%; recovery to pre-join rate: %s\n",
@@ -151,15 +116,7 @@ int main(int argc, char** argv) {
   json.Add("transition.moved_fraction", moved_fraction, 3);
   json.Add("speedup_post_vs_pre", pre_join > 0 ? post_join / pre_join : 0.0, 2);
   json.Add("ring_epoch_after", static_cast<int64_t>(epoch_after));
-  json.Add("oracle.issued", issued);
-  json.Add("oracle.completed", completed);
-  json.Add("oracle.errors", checker.errors());
-  json.Add("oracle.duplicate_finals", violations.duplicate_finals);
-  json.Add("oracle.monotonicity_violations", violations.regressions);
-  json.Add("oracle.views_after_terminal", violations.after_terminal);
-  json.Add("oracle.violations", violations.total());
-  json.Add("load.errors", load.errors);
-  json.AddLatencies("load", load.throughput_ops, load.preliminary, load.final_view);
+  bench::AddOracleJson(json, checker, load);
   json.Write();
 
   return oracle_clean && recovered ? 0 : 1;

@@ -15,10 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "src/harness/deployment.h"
-#include "src/harness/executors.h"
-#include "src/ycsb/multi_runner.h"
+#include "bench/scaffold.h"
 
 namespace icg {
 namespace {
@@ -27,29 +24,14 @@ constexpr int64_t kRecords = 10000;
 
 RunnerResult RunTrial(int n_coordinators, KvMode mode, int threads_per_client,
                       SimDuration duration, SimDuration elide, uint64_t seed) {
-  SimWorld world(seed);
-  CassandraBindingConfig binding;
-  binding.strong_read_quorum = 2;
-  auto stack = MakeShardedCassandraStack(world, n_coordinators, KvConfig{}, binding,
-                                         Region::kIreland);
-  auto& frk = AddShardedCassandraClient(world, stack, binding, Region::kFrankfurt);
-  auto& vrg = AddShardedCassandraClient(world, stack, binding, Region::kVirginia);
-
-  const WorkloadConfig workload =
-      WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords);
-  PreloadYcsbDataset(stack.cluster.get(), workload);
-
-  RunnerConfig config;
-  config.threads = threads_per_client;
-  config.duration = duration;
-  config.warmup = elide;
-  config.cooldown = elide;
-
-  MultiRunner runner(&world.loop(), config);
-  runner.AddClient(workload, seed * 3 + 1, MakeKvExecutor(stack.client(), mode));
-  runner.AddClient(workload, seed * 3 + 2, MakeKvExecutor(frk.client.get(), mode));
-  runner.AddClient(workload, seed * 3 + 3, MakeKvExecutor(vrg.client.get(), mode));
-  return runner.Run();
+  bench::RegionalTrial trial(
+      {.seed = seed,
+       .coordinators = n_coordinators,
+       .workload = WorkloadConfig::YcsbB(RequestDistribution::kUniform, kRecords)});
+  trial.AddLoad(
+      {.threads = threads_per_client, .duration = duration, .warmup = elide, .cooldown = elide},
+      bench::RegionalSeeds(seed), bench::KvExecutors(mode));
+  return trial.Run();
 }
 
 }  // namespace

@@ -100,7 +100,9 @@ class StatusOr {
     assert(ok());
     return std::get<T>(rep_);
   }
-  T&& value() && {
+  // By value, not T&&: `const T& v = f().value();` then extends the moved-out value's
+  // lifetime instead of binding to a member of the dying temporary.
+  T value() && {
     assert(ok());
     return std::get<T>(std::move(rep_));
   }

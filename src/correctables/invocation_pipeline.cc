@@ -79,6 +79,27 @@ void RunPlanSteps(std::shared_ptr<PlanRun> run, SmallVec<FetchStep, 2>& steps) {
   }
 }
 
+// The one start of a plan, shared by the pipeline's Launch and the raw
+// Binding::SubmitOperation path. `run` arrives with its operation, binding name and sink
+// set. A rejected plan, or one whose steps never declare the strongest requested level,
+// fails at that level through the sink; otherwise the plan's refresh hook joins the run
+// and its steps start.
+void StartPlan(InvocationPlan& plan, ConsistencyLevel strongest, std::shared_ptr<PlanRun> run) {
+  if (!plan.reject.ok()) {
+    run->sink(strongest, std::move(plan.reject), ResponseKind::kValue);
+    return;
+  }
+  if (!PlanCoversFinal(plan, strongest)) {
+    run->sink(strongest,
+              Status::Internal("plan from binding '" + *run->binding_name +
+                               "' does not cover the strongest requested level"),
+              ResponseKind::kValue);
+    return;
+  }
+  run->refresh = std::move(plan.refresh);
+  RunPlanSteps(std::move(run), plan.steps);
+}
+
 }  // namespace
 
 InvocationPipeline::InvocationPipeline(Binding* binding, EventLoop* loop, ClientStats* stats)
@@ -196,28 +217,15 @@ void InvocationPipeline::CancelTimeout(Invocation& inv) {
 
 void InvocationPipeline::Launch(const std::shared_ptr<Batch>& batch) {
   InvocationPlan plan = binding_->PlanInvocation(batch->op, batch->level_set);
-  const ConsistencyLevel strongest = batch->level_set.strongest();
-  if (!plan.reject.ok()) {
-    OnEmission(batch, strongest, std::move(plan.reject), ResponseKind::kValue);
-    return;
-  }
-  if (!PlanCoversFinal(plan, strongest)) {
-    OnEmission(batch, strongest,
-               Status::Internal("plan from binding '" + binding_->Name() +
-                                "' does not cover the strongest requested level"),
-               ResponseKind::kValue);
-    return;
-  }
   auto run = PooledMakeShared<PlanRun>();
   // Aliasing constructor: the run shares the batch's operation instead of copying it.
   run->op = std::shared_ptr<const Operation>(batch, &batch->op);
-  run->refresh = std::move(plan.refresh);
   run->binding_name = &binding_name_;
   run->sink = [this, batch](ConsistencyLevel level, StatusOr<OpResult>&& result,
                             ResponseKind kind) {
     OnEmission(batch, level, std::move(result), kind);
   };
-  RunPlanSteps(std::move(run), plan.steps);
+  StartPlan(plan, batch->level_set.strongest(), std::move(run));
 }
 
 void InvocationPipeline::OnEmission(const std::shared_ptr<Batch>& batch,
@@ -406,32 +414,22 @@ void InvocationPipeline::Deliver(Invocation& inv, ConsistencyLevel level,
 }
 
 // Binding::SubmitOperation lives here rather than in a binding translation unit so the
-// raw response path and the pipeline share RunPlanSteps, the one definition of "run a
-// plan" (rejection, coverage validation, declaration enforcement, refresh write-through).
+// raw response path and the pipeline share StartPlan and RunPlanSteps, the one
+// definition of "run a plan" (rejection, coverage validation, declaration enforcement,
+// refresh write-through).
 void Binding::SubmitOperation(const Operation& op, const LevelVec& levels,
                               ResponseCallback callback) {
   LevelSet set(levels);
   InvocationPlan plan = PlanInvocation(op, set);
-  if (!plan.reject.ok()) {
-    callback(std::move(plan.reject), set.strongest(), ResponseKind::kValue);
-    return;
-  }
-  if (!PlanCoversFinal(plan, set.strongest())) {
-    callback(Status::Internal("plan from binding '" + Name() +
-                              "' does not cover the strongest requested level"),
-             set.strongest(), ResponseKind::kValue);
-    return;
-  }
   auto run = PooledMakeShared<PlanRun>();
   run->op = std::make_shared<const Operation>(op);
-  run->refresh = std::move(plan.refresh);
   run->owned_name = Name();
   run->binding_name = &run->owned_name;
   run->sink = [callback](ConsistencyLevel level, StatusOr<OpResult>&& result,
                          ResponseKind kind) {
     callback(std::move(result), level, kind);
   };
-  RunPlanSteps(std::move(run), plan.steps);
+  StartPlan(plan, set.strongest(), std::move(run));
 }
 
 }  // namespace icg

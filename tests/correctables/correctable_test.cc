@@ -1,6 +1,7 @@
 // Unit tests for the Correctable<T> abstraction: state machine, callbacks, monotonicity,
 // and the Map/Speculate/WhenAll combinators.
 #include "src/correctables/correctable.h"
+#include "src/correctables/operation.h"
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,25 @@ TEST(CorrectableStates, StartsUpdatingAndClosesFinal) {
   EXPECT_TRUE(c.LatestView().is_final);
   ASSERT_TRUE(c.Final().ok());
   EXPECT_EQ(c.Final().value(), 2);
+}
+
+// Final() returns a temporary StatusOr; binding a reference to its value() must extend
+// the value's lifetime. The value outgrows the small-string buffer, so a dangling
+// reference would read freed heap memory (which AddressSanitizer reports).
+TEST(CorrectableStates, FinalValueBoundByConstReferenceOutlivesTheStatement) {
+  const std::string payload(64, 'v');
+  CorrectableSource<OpResult> src;
+  OpResult result;
+  result.found = true;
+  result.value = payload;
+  ASSERT_TRUE(src.Close(std::move(result), ConsistencyLevel::kStrong));
+  auto c = src.GetCorrectable();
+
+  const OpResult& r = c.Final().value();
+  std::string churn(256, 'x');  // reuse the heap a dangling reference would point into
+  EXPECT_TRUE(r.found);
+  EXPECT_EQ(r.value, payload);
+  EXPECT_EQ(churn.size(), 256u);
 }
 
 TEST(CorrectableStates, ErrorState) {
