@@ -19,15 +19,12 @@
 //
 // Flags: --smoke shortens the trial for CI smoke runs (the JSON summary is still
 // written); output includes BENCH_autoscale_load.json with the phase throughputs, the
-// ramp-following delay, shed decay, the controller's applied-action log, and the
-// oracle counters.
-#include <map>
+// ramp-following delay, shed decay, the oracle counters, and the world's event journal
+// (the controller's applied actions and the ring epochs they installed).
 #include <string>
 
-#include "bench/bench_util.h"
+#include "bench/scaffold.h"
 #include "src/common/random.h"
-#include "src/harness/deployment.h"
-#include "src/harness/icg_oracle.h"
 #include "src/harness/orchestrator.h"
 
 namespace icg {
@@ -90,9 +87,7 @@ int main(int argc, char** argv) {
   RandomKvLoad load({stack.client(), frk.client.get(), vrg.client.get()}, &checker, spec);
   load.Preload(*stack.cluster);
 
-  OrchestratorOptions orch_options;
-  orch_options.min_coordinators = 2;
-  Orchestrator orchestrator(&world, &stack, orch_options);
+  Orchestrator orchestrator(&world, &stack);  // scale-in floor: the starting 2
   orchestrator.Start();
 
   Rng rng(seed * 7);
@@ -130,14 +125,11 @@ int main(int argc, char** argv) {
   // Shed decay: nothing may shed from one second after the load returns to low rate.
   const int64_t sheds_after_settle = sheds.CountFrom(ramp_end + Seconds(1));
 
-  std::map<ControlActionKind, int> action_counts;
-  for (const OrchestratorEvent& event : orchestrator.events()) {
-    action_counts[event.kind]++;
-  }
-  const int widens = action_counts[ControlActionKind::kWidenWindow];
-  const int shrinks = action_counts[ControlActionKind::kShrinkWindow];
-  const int scale_outs = action_counts[ControlActionKind::kScaleOut];
-  const int scale_ins = action_counts[ControlActionKind::kScaleIn];
+  const Journal& journal = world.journal();
+  const int64_t widens = journal.Count(EventKind::kWiden);
+  const int64_t shrinks = journal.Count(EventKind::kShrink);
+  const int64_t scale_outs = journal.Count(EventKind::kScaleOut);
+  const int64_t scale_ins = journal.Count(EventKind::kScaleIn);
 
   bench::Table table({"phase", "throughput (ops/s)", "notes"});
   table.AddRow({"pre-ramp (150 offered)", bench::Fmt(pre_ramp, 0),
@@ -148,16 +140,17 @@ int main(int argc, char** argv) {
                 "after the controller scaled"});
   table.Print();
 
-  std::printf("controller: %d widen, %d shrink, %d scale-out, %d scale-in; final ring %zu"
-              " coordinators, window rung %zu, epoch %llu\n",
-              widens, shrinks, scale_outs, scale_ins, stack.coordinator_ids().size(),
-              orchestrator.window_index(),
+  std::printf("controller: %lld widen, %lld shrink, %lld scale-out, %lld scale-in; final"
+              " ring %zu coordinators, window rung %zu, epoch %llu\n",
+              static_cast<long long>(widens), static_cast<long long>(shrinks),
+              static_cast<long long>(scale_outs), static_cast<long long>(scale_ins),
+              stack.coordinator_ids().size(), orchestrator.window_index(),
               static_cast<unsigned long long>(stack.ring_epoch()));
-  for (const OrchestratorEvent& event : orchestrator.events()) {
-    std::printf("  t=%6.2fs %-9s detail=%zu epoch=%llu shed_delta=%lld outstanding=%zu\n",
-                ToSeconds(event.at), ControlActionName(event.kind), event.detail,
-                static_cast<unsigned long long>(event.ring_epoch),
-                static_cast<long long>(event.shed_delta), event.total_outstanding);
+  for (const JournalEntry& entry : journal.entries()) {
+    std::printf("  t=%6.2fs %-9s node=%d epoch=%llu detail=%lld\n", ToSeconds(entry.at),
+                EventKindName(entry.kind), entry.node,
+                static_cast<unsigned long long>(entry.epoch),
+                static_cast<long long>(entry.detail));
   }
   std::printf("sheds: %lld total (all retried), %lld after settle; throughput followed"
               " the ramp %s\n",
@@ -191,10 +184,10 @@ int main(int argc, char** argv) {
   json.Add("post_ramp.throughput_ops", tail_rate, 1);
   json.Add("ramp.follow_ratio", follow_ratio, 2);
   json.Add("ramp.followed_after_ms", followed_after_ms, 0);
-  json.Add("controller.widens", static_cast<int64_t>(widens));
-  json.Add("controller.shrinks", static_cast<int64_t>(shrinks));
-  json.Add("controller.scale_outs", static_cast<int64_t>(scale_outs));
-  json.Add("controller.scale_ins", static_cast<int64_t>(scale_ins));
+  json.Add("controller.widens", widens);
+  json.Add("controller.shrinks", shrinks);
+  json.Add("controller.scale_outs", scale_outs);
+  json.Add("controller.scale_ins", scale_ins);
   json.Add("controller.final_coordinators",
            static_cast<int64_t>(stack.coordinator_ids().size()));
   json.Add("controller.final_window_index",
@@ -202,13 +195,8 @@ int main(int argc, char** argv) {
   json.Add("controller.ring_epoch", static_cast<int64_t>(stack.ring_epoch()));
   json.Add("sheds.total", load.sheds());
   json.Add("sheds.after_settle", sheds_after_settle);
-  json.Add("oracle.submitted", load.operations());
-  json.Add("oracle.completed", checker.finals());
-  json.Add("oracle.unexpected_errors", violations.unsanctioned_errors);
-  json.Add("oracle.duplicate_finals", violations.duplicate_finals);
-  json.Add("oracle.monotonicity_violations", violations.regressions);
-  json.Add("oracle.views_after_terminal", violations.after_terminal);
-  json.Add("oracle.violations", violations.total());
+  bench::AddOracleJson(json, checker);
+  json.AddJson("journal", journal.ToJson());
   json.Write();
 
   return oracle_clean && followed && controller_acted && sheds_decayed ? 0 : 1;

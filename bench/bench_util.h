@@ -194,6 +194,10 @@ class JsonSummary {
   void AddString(const std::string& key, const std::string& value) {
     entries_.push_back({key, "\"" + Escape(value) + "\""});
   }
+  // A value already rendered as JSON (an array or object), written verbatim.
+  void AddJson(const std::string& key, std::string json) {
+    entries_.push_back({key, std::move(json)});
+  }
 
   // The standard per-trial block: throughput plus p50/p99 of the preliminary and final
   // latency distributions, under `prefix.`.

@@ -22,7 +22,7 @@
 // throughput falls below 0.9x the pre-crash plateau.
 //
 // Flags: --smoke shortens the trial for CI smoke runs (the JSON summary is still
-// written); output includes BENCH_failover_load.json.
+// written); output includes BENCH_failover_load.json, with the world's event journal.
 #include <string>
 
 #include "bench/scaffold.h"
@@ -101,15 +101,16 @@ int main(int argc, char** argv) {
   const double rejoin_recovery_ms =
       completions.MillisToReach(recover_at, settle, 0.9 * pre_crash);
 
-  // Failover bookkeeping from the harness: detection latency and rejoin epoch.
+  // Failover bookkeeping from the world's journal: detection latency and rejoin.
+  const Journal& journal = trial.world().journal();
+  SimTime crashed_at = -1;
   double detection_ms = -1.0;
   bool rejoined = false;
-  for (const FailoverEvent& event : stack.failover_log()) {
-    if (event.node != victim) continue;
-    if (event.detected_at >= 0) {
-      detection_ms = ToMillis(event.detected_at - event.crashed_at);
-    }
-    rejoined = event.rejoined_at >= 0;
+  for (const JournalEntry& entry : journal.entries()) {
+    if (entry.node != victim) continue;
+    if (entry.kind == EventKind::kCrash) crashed_at = entry.at;
+    if (entry.kind == EventKind::kDetected) detection_ms = ToMillis(entry.at - crashed_at);
+    if (entry.kind == EventKind::kRejoined) rejoined = true;
   }
   const KvReplica* recovered = nullptr;
   int64_t snapshots_taken = 0;  // over every replica: bases + deltas
@@ -201,7 +202,9 @@ int main(int argc, char** argv) {
   json.Add("ring_epoch_after", static_cast<int64_t>(stack.ring_epoch()));
   json.Add("durability.acked_keys", acked_keys);
   json.Add("durability.acked_lost", acked_lost);
-  bench::AddOracleJson(json, checker, load);
+  bench::AddOracleJson(json, checker);
+  bench::AddLoadJson(json, load);
+  json.AddJson("journal", journal.ToJson());
   json.Write();
 
   return oracle_clean && detected && recovered_clean && throughput_back ? 0 : 1;

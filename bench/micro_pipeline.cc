@@ -16,11 +16,10 @@
 // Usage:
 //   micro_pipeline                   run, print, write BENCH_micro_pipeline.json
 //   micro_pipeline --check FILE      also compare against a baseline JSON: exits 1 if
-//                                    any *.allocs_per_op grew (machine-independent), or
-//                                    if a gated *.ns_per_op regressed more than 20% — the
-//                                    ns/op gates only apply when the baseline's "cores"
-//                                    matches this machine (wall-clock numbers recorded
-//                                    on different hardware are not comparable).
+//                                    any *.allocs_per_op grew. ns/op is reported, not
+//                                    gated: five runs on one 4-core host spread by more
+//                                    than 70% (single 374-640 ns, icg 514-926 ns), far
+//                                    past any bound a wall-clock gate could hold.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -32,7 +31,6 @@
 #include <memory>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -142,13 +140,12 @@ std::function<Measurement()> Timed(Op op, int warmup = 20000, int batch = 50000,
   };
 }
 
-// One row of the bench: printed as `label`, written and gated as `key`.ns_per_op and
-// `key`.allocs_per_op. Every scenario's allocs/op is gated; ns/op only where `ns_gated`.
+// One row of the bench: printed as `label`, written as `key`.ns_per_op and
+// `key`.allocs_per_op. Every scenario's allocs/op is gated.
 struct Scenario {
   const char* label;
   const char* key;
   std::function<Measurement()> measure;
-  bool ns_gated = false;
 };
 
 // Pulls `"key": <number>` out of a flat BENCH_*.json (the format JsonSummary writes).
@@ -271,13 +268,11 @@ int Run(int argc, char** argv) {
        })},
       {"pipeline single-level invoke", "single", Timed([&]() {
          Require(single_client.InvokeStrong(Operation::Get("k")).is_final());
-       }),
-       /*ns_gated=*/true},
+       })},
       {"pipeline ICG invoke (2 views)", "icg", Timed([&]() {
          Correctable<OpResult> c = icg_client.Invoke(Operation::Get("k"));
          Require(c.is_final() && c.views_delivered() == 2);
-       }),
-       /*ns_gated=*/true},
+       })},
       {"full stack CC2 ICG read", "stack.icg_read", Timed([&]() {
          Correctable<OpResult> c = read_stack.client->Invoke(Operation::Get("user1"));
          read_world.loop().Run();
@@ -343,50 +338,29 @@ int Run(int argc, char** argv) {
   const std::string text{std::istreambuf_iterator<char>(baseline),
                          std::istreambuf_iterator<char>()};
 
+  // Allocation gates are machine-independent: steady-state allocations per op are a
+  // property of the code, not the hardware. A scenario fails if it allocates more than
+  // its baseline plus an absolute tolerance that covers pool refills straddling a batch
+  // boundary, or if the baseline lacks it.
   int failures = 0;
-  // Fails if `current` exceeds the baseline's value times `factor` plus `slack`, or if
-  // the baseline lacks `key`.
-  auto gate = [&](const std::string& key, double current, double factor, double slack,
-                  int decimals) {
+  for (size_t i = 0; i < scenarios.size(); ++i) {
+    const std::string key = std::string(scenarios[i].key) + ".allocs_per_op";
+    const double current = results[i].allocs_per_op;
     double base = 0;
     if (!JsonNumber(text, key, &base)) {
       std::fprintf(stderr, "baseline %s lacks %s\n", baseline_path, key.c_str());
       failures++;
-      return;
+      continue;
     }
-    const double limit = base * factor + slack;
+    const double limit = base + 0.01;
     const bool ok = current <= limit;
-    std::printf("check %-32s current %8.*f  baseline %8.*f  limit %8.*f  %s\n", key.c_str(),
-                decimals, current, decimals, base, decimals, limit, ok ? "OK" : "REGRESSED");
+    std::printf("check %-32s current %8.3f  baseline %8.3f  limit %8.3f  %s\n", key.c_str(),
+                current, base, limit, ok ? "OK" : "REGRESSED");
     if (!ok) {
       failures++;
     }
-  };
-
-  // Allocation gates are machine-independent: steady-state allocations per op are a
-  // property of the code, not the hardware, so they always apply. Absolute tolerance
-  // covers measurement noise from pool refills straddling a batch boundary.
-  for (size_t i = 0; i < scenarios.size(); ++i) {
-    gate(std::string(scenarios[i].key) + ".allocs_per_op", results[i].allocs_per_op, 1.0, 0.01,
-         3);
   }
 
-  // Wall-clock gates only compare like with like: a baseline recorded on a machine
-  // with a different core count is informational, not enforceable.
-  double baseline_cores = 0;
-  const bool have_cores = JsonNumber(text, "cores", &baseline_cores);
-  const double machine_cores = static_cast<double>(std::thread::hardware_concurrency());
-  if (!have_cores || baseline_cores != machine_cores) {
-    std::printf("check ns/op gates skipped: baseline cores=%s, this machine has %.0f\n",
-                have_cores ? bench::Fmt(baseline_cores, 0).c_str() : "unrecorded",
-                machine_cores);
-  } else {
-    for (size_t i = 0; i < scenarios.size(); ++i) {
-      if (scenarios[i].ns_gated) {
-        gate(std::string(scenarios[i].key) + ".ns_per_op", results[i].ns_per_op, 1.20, 0.0, 1);
-      }
-    }
-  }
   if (failures > 0) {
     std::fprintf(stderr, "micro_pipeline: %d regression gate(s) failed\n", failures);
     return 1;

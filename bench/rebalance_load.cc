@@ -116,7 +116,8 @@ int main(int argc, char** argv) {
   json.Add("transition.moved_fraction", moved_fraction, 3);
   json.Add("speedup_post_vs_pre", pre_join > 0 ? post_join / pre_join : 0.0, 2);
   json.Add("ring_epoch_after", static_cast<int64_t>(epoch_after));
-  bench::AddOracleJson(json, checker, load);
+  bench::AddOracleJson(json, checker);
+  bench::AddLoadJson(json, load);
   json.Write();
 
   return oracle_clean && recovered ? 0 : 1;

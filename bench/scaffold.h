@@ -1,6 +1,7 @@
 // The bench scaffold for the paper's "3 clients, one per region" Cassandra trials
 // (§6.2.1): one builder for the flat and the sharded deployments, plus the oracle
-// reporting shared by the membership-change benches (rebalance_load, failover_load).
+// reporting shared by the membership-change benches (rebalance_load, failover_load,
+// autoscale_load).
 #ifndef ICG_BENCH_SCAFFOLD_H_
 #define ICG_BENCH_SCAFFOLD_H_
 
@@ -153,17 +154,21 @@ inline int64_t OracleCompleted(const ContractChecker& checker) {
   return checker.finals() + checker.errors();
 }
 
-// The oracle.* block and the load.* result of a trial run under `checker`.
-inline void AddOracleJson(JsonSummary& json, const ContractChecker& checker,
-                          const RunnerResult& load) {
+// The oracle.* block every oracle-checked load bench writes.
+inline void AddOracleJson(JsonSummary& json, const ContractChecker& checker) {
   const ContractViolations& violations = checker.violations();
   json.Add("oracle.issued", OracleIssued(checker));
   json.Add("oracle.completed", OracleCompleted(checker));
   json.Add("oracle.errors", checker.errors());
+  json.Add("oracle.unsanctioned_errors", violations.unsanctioned_errors);
   json.Add("oracle.duplicate_finals", violations.duplicate_finals);
   json.Add("oracle.monotonicity_violations", violations.regressions);
   json.Add("oracle.views_after_terminal", violations.after_terminal);
   json.Add("oracle.violations", violations.total());
+}
+
+// The load.* block: a closed-loop trial's merged result.
+inline void AddLoadJson(JsonSummary& json, const RunnerResult& load) {
   json.Add("load.errors", load.errors);
   json.AddLatencies("load", load.throughput_ops, load.preliminary, load.final_view);
 }

@@ -119,14 +119,11 @@ class BindingRouter : public Binding {
   size_t ShardIndexFor(const std::string& key) const;
   Binding& shard(size_t index) const { return *shards_.at(index).binding; }
 
-  // Backpressure observability, per current-ring shard index. Outstanding counts decay
-  // as finals (values, confirmations, or errors) arrive; an invocation whose store never
+  // The router's backpressure state: a consistent snapshot of epoch + every
+  // current-ring shard's outstanding/sheds + the retired-shed aggregate, for controllers
+  // and tests that must never read torn across an ApplyRing. Outstanding counts decay as
+  // finals (values, confirmations, or errors) arrive; an invocation whose store never
   // answers at the final level pins its slot until it does.
-  size_t ShardOutstanding(size_t index) const { return shards_.at(index).counters->outstanding; }
-  int64_t ShardSheds(size_t index) const { return shards_.at(index).counters->sheds; }
-
-  // Consistent snapshot of epoch + every shard's outstanding/sheds + the retired-shed
-  // aggregate, for controllers and tests that must never read torn across an ApplyRing.
   RouterLoadSnapshot LoadSnapshot() const;
 
  private:

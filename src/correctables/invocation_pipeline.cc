@@ -5,8 +5,6 @@
 #include <string_view>
 #include <utility>
 
-#include "src/common/logging.h"
-
 namespace icg {
 namespace {
 
@@ -49,10 +47,13 @@ struct PlanRun {
   std::shared_ptr<const Operation> op;
   RefreshHook refresh;
   // Points at the pipeline's cached name (pipeline path) or at owned_name (raw
-  // SubmitOperation path): referenced only by the undeclared-level debug log, so the
-  // hot path never constructs a name string.
+  // SubmitOperation path): referenced only by the plan-coverage error, so the hot path
+  // never constructs a name string.
   const std::string* binding_name = nullptr;
   std::string owned_name;
+  // The client's counters on the pipeline path; null on the raw SubmitOperation path,
+  // which has no client and drops undeclared emissions silently.
+  ClientStats* stats = nullptr;
   LevelEmitter::Sink sink;  // receives declaration-checked, refresh-applied emissions
 };
 
@@ -66,8 +67,9 @@ void RunPlanSteps(std::shared_ptr<PlanRun> run, SmallVec<FetchStep, 2>& steps) {
                           ConsistencyLevel level, StatusOr<OpResult>&& result,
                           ResponseKind kind) {
       if (!StepDeclares(declared, level)) {
-        ICG_DEBUG << "binding " << *run->binding_name << " emitted undeclared level "
-                  << ConsistencyLevelName(level) << "; dropped";
+        if (run->stats != nullptr) {
+          run->stats->dropped_emissions++;
+        }
         return;
       }
       if (run->refresh && result.ok() && kind == ResponseKind::kValue) {
@@ -221,6 +223,7 @@ void InvocationPipeline::Launch(const std::shared_ptr<Batch>& batch) {
   // Aliasing constructor: the run shares the batch's operation instead of copying it.
   run->op = std::shared_ptr<const Operation>(batch, &batch->op);
   run->binding_name = &binding_name_;
+  run->stats = stats_;
   run->sink = [this, batch](ConsistencyLevel level, StatusOr<OpResult>&& result,
                             ResponseKind kind) {
     OnEmission(batch, level, std::move(result), kind);
@@ -232,8 +235,7 @@ void InvocationPipeline::OnEmission(const std::shared_ptr<Batch>& batch,
                                     ConsistencyLevel level, StatusOr<OpResult> result,
                                     ResponseKind kind) {
   if (!batch->level_set.Contains(level)) {
-    ICG_DEBUG << "binding " << binding_->Name() << " emitted unrequested level "
-              << ConsistencyLevelName(level) << "; dropped";
+    stats_->dropped_emissions++;
     return;
   }
   if (level == batch->level_set.strongest()) {
@@ -367,8 +369,7 @@ void InvocationPipeline::Deliver(Invocation& inv, ConsistencyLevel level,
   if (!result.ok()) {
     // Errors at preliminary levels are tolerated: a stronger view may still arrive.
     if (!is_final_level) {
-      ICG_DEBUG << "preliminary level " << ConsistencyLevelName(level)
-                << " failed: " << result.status().ToString();
+      stats_->preliminary_errors++;
       return;
     }
     if (inv.source.state() != CorrectableState::kUpdating) {

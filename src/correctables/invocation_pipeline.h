@@ -66,6 +66,9 @@ struct ClientStats {
   int64_t batched_writes = 0;        // writes submitted through a batched multiput
   int64_t overload_sheds = 0;        // invocations failed by per-shard backpressure
                                      // (retryable OVERLOADED finals)
+  int64_t dropped_emissions = 0;     // binding emissions at a level the step did not
+                                     // declare or the invocation did not request
+  int64_t preliminary_errors = 0;    // tolerated errors at a preliminary level
 
   friend bool operator==(const ClientStats&, const ClientStats&) = default;
 };

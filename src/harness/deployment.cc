@@ -120,6 +120,7 @@ Partitioner::RingDiff ShardedCassandraStack::AddCoordinator(NodeId replica_id) {
         endpoint->kv_clients.back().get(), endpoint->binding_config));
     InstallRing(*endpoint);
   }
+  world_->journal().Append(EventKind::kRing, replica_id, ring_epoch(), +1);
   return diff;
 }
 
@@ -144,6 +145,7 @@ Partitioner::RingDiff ShardedCassandraStack::RemoveCoordinator(NodeId replica_id
                                    static_cast<long>(index));
     InstallRing(*endpoint);
   }
+  world_->journal().Append(EventKind::kRing, replica_id, ring_epoch(), -1);
   return diff;
 }
 
@@ -167,13 +169,15 @@ void ShardedCassandraStack::CrashCoordinator(NodeId replica_id) {
   assert(replica != nullptr && "CrashCoordinator needs a replica of this cluster");
   world_->network().Crash(replica_id);
   replica->Crash();
-  FailoverEvent event;
-  event.node = replica_id;
-  event.crashed_at = world_->loop().Now();
-  event.was_coordinator =
+  const bool was_coordinator =
       std::find(coordinator_ids_.begin(), coordinator_ids_.end(), replica_id) !=
       coordinator_ids_.end();
-  failover_log_.push_back(event);
+  if (was_coordinator) {
+    crashed_coordinators_.insert(replica_id);
+  } else {
+    crashed_coordinators_.erase(replica_id);
+  }
+  world_->journal().Append(EventKind::kCrash, replica_id, ring_epoch(), was_coordinator);
 }
 
 void ShardedCassandraStack::RecoverCoordinator(NodeId replica_id) {
@@ -181,23 +185,18 @@ void ShardedCassandraStack::RecoverCoordinator(NodeId replica_id) {
   assert(replica != nullptr && "RecoverCoordinator needs a replica of this cluster");
   world_->network().Restart(replica_id);
   replica->Recover();
-  bool was_coordinator = false;
-  for (auto it = failover_log_.rbegin(); it != failover_log_.rend(); ++it) {
-    if (it->node == replica_id && it->rejoined_at < 0) {
-      it->rejoined_at = world_->loop().Now();
-      was_coordinator = it->was_coordinator;
-      break;
-    }
-  }
+  const bool was_coordinator = crashed_coordinators_.erase(replica_id) > 0;
   // Re-admit through the live membership path — but only if the detector actually
   // routed around it. A replica recovered before detection fired is still in the ring;
   // AddCoordinator would double-insert it.
   const bool in_ring = std::find(coordinator_ids_.begin(), coordinator_ids_.end(),
                                  replica_id) != coordinator_ids_.end();
-  if (was_coordinator && !in_ring) {
+  const bool readmit = was_coordinator && !in_ring;
+  if (readmit) {
     AddCoordinator(replica_id);
   }
   unanswered_probes_[replica_id] = 0;
+  world_->journal().Append(EventKind::kRejoined, replica_id, ring_epoch(), readmit);
 }
 
 void ShardedCassandraStack::EnableFailureDetection(FailoverConfig config) {
@@ -245,14 +244,8 @@ void ShardedCassandraStack::ProbeOnce() {
       break;  // never evict the last coordinator; keep probing until someone rejoins
     }
     RemoveCoordinator(id);
-    failovers_ += 1;
+    world_->journal().Append(EventKind::kDetected, id, ring_epoch(), unanswered_probes_[id]);
     unanswered_probes_.erase(id);
-    for (auto it = failover_log_.rbegin(); it != failover_log_.rend(); ++it) {
-      if (it->node == id && it->detected_at < 0) {
-        it->detected_at = world_->loop().Now();
-        break;
-      }
-    }
   }
   // Pass 2: probe every current ring member from the primary endpoint's node. Replies
   // ride the network back to the front loop and clear the counter; probes to a corpse

@@ -1,11 +1,12 @@
 // Pre-wired deployments of the paper's experimental setups, shared by tests, benchmarks,
-// and examples: a simulated WAN world plus ready-to-use storage stacks (cluster + client
-// + binding + Correctables library instance).
+// and examples: a simulated WAN world (with its event journal) plus ready-to-use storage
+// stacks (cluster + client + binding + Correctables library instance).
 #ifndef ICG_HARNESS_DEPLOYMENT_H_
 #define ICG_HARNESS_DEPLOYMENT_H_
 
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "src/bindings/cached_causal_binding.h"
@@ -14,6 +15,7 @@
 #include "src/bindings/zookeeper_binding.h"
 #include "src/correctables/binding_router.h"
 #include "src/correctables/client.h"
+#include "src/harness/journal.h"
 #include "src/kvstore/cluster.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/network.h"
@@ -23,22 +25,25 @@
 
 namespace icg {
 
-// The simulated world: event loop + geographic topology + network. Construction order
-// matters (the network holds pointers into the other two), hence this bundle. A world
-// is single-threaded; independent worlds may run on separate threads (RunWorldsUntil).
+// The simulated world: event loop + geographic topology + network, and the journal of
+// deployment events stamped from the loop. Construction order matters (the network and
+// the journal hold pointers into the loop), hence this bundle. A world is
+// single-threaded; independent worlds may run on separate threads (RunWorldsUntil).
 class SimWorld {
  public:
   explicit SimWorld(uint64_t seed = 1, double jitter_sigma = 0.08)
-      : network_(&loop_, &topology_, seed, jitter_sigma) {}
+      : network_(&loop_, &topology_, seed, jitter_sigma), journal_(&loop_) {}
 
   EventLoop& loop() { return loop_; }
   Topology& topology() { return topology_; }
   Network& network() { return network_; }
+  Journal& journal() { return journal_; }
 
  private:
   EventLoop loop_;
   Topology topology_;
   Network network_;
+  Journal journal_;
 };
 
 // The paper's default Cassandra deployment: replicas in FRK/IRL/VRG (configurable),
@@ -98,22 +103,13 @@ struct FailoverConfig {
   int miss_threshold = 3;
 };
 
-// One entry per CrashCoordinator call, timestamps filled in as the detector and the
-// recovery path catch up (-1 = not yet).
-struct FailoverEvent {
-  NodeId node = kInvalidNode;
-  SimTime crashed_at = -1;
-  SimTime detected_at = -1;   // detector fired and the ring routed around the corpse
-  SimTime rejoined_at = -1;   // RecoverCoordinator re-admitted it
-  bool was_coordinator = false;
-};
-
 // Sharded Cassandra deployment: the same replica cluster, but per-key client traffic is
 // routed across a *mutable* set of coordinator replicas through BindingRouters — one
 // CassandraBinding (over its own client<->coordinator connection) per coordinator, with
 // a dedicated versioned consistent-hash ring over the coordinator ids deciding key
 // ownership. The application still sees a single CorrectableClient per endpoint, and
-// coordinators can join or leave while load is running.
+// coordinators can join or leave while load is running. Crashes, detections, rejoins
+// and every ring epoch are appended to the world's journal.
 class ShardedCassandraStack {
  public:
   std::unique_ptr<KvConfig> config;
@@ -132,8 +128,9 @@ class ShardedCassandraStack {
   // --- Live membership changes, operating on the running stack ------------------------
   // Promotes the cluster replica `replica_id` into the coordinator ring: every
   // registered endpoint gets a connection + child binding to it, and every router
-  // installs the successor ring (epoch + 1). Returns the primary-ownership diff —
-  // ~1/(N+1) of the keyspace captured by the newcomer, nothing traded between survivors.
+  // installs the successor ring (epoch + 1), journaled as kRing. Returns the primary-
+  // ownership diff — ~1/(N+1) of the keyspace captured by the newcomer, nothing traded
+  // between survivors.
   Partitioner::RingDiff AddCoordinator(NodeId replica_id);
   // Demotes `replica_id` out of the ring (it keeps serving quorum/replication traffic as
   // a plain replica). Its connections retire; in-flight invocations drain; pending
@@ -157,24 +154,23 @@ class ShardedCassandraStack {
   // failover window (crash -> detection -> ApplyRing) is observable. Until the ring
   // changes, traffic to the dead shard piles onto its outstanding counter and — with a
   // queue limit set — sheds with retryable OVERLOADED; after it, pending cohorts
-  // re-route at flush and new work maps to survivors.
+  // re-route at flush and new work maps to survivors. Journaled as kCrash.
   void CrashCoordinator(NodeId replica_id);
   // Restart + recovery + rejoin: restarts the node, rebuilds the replica from snapshot
   // + WAL replay (kicking off its anti-entropy bootstrap), and re-admits it through the
-  // live AddCoordinator path at a fresh ring epoch. Works for crashed plain replicas
-  // too (skipping ring re-admission unless it was a coordinator when it crashed).
+  // live AddCoordinator path at a fresh ring epoch, journaled as kRejoined. Works for
+  // crashed plain replicas too: only a node that was a coordinator when it crashed, and
+  // that the detector has since routed around, re-enters the ring.
   void RecoverCoordinator(NodeId replica_id);
 
   // Heartbeat failure detector on the front loop: probes every ring coordinator each
   // `heartbeat_interval`; `miss_threshold` consecutive unanswered probes declare it dead
-  // and fail over (RemoveCoordinator). Recovered coordinators re-enter probing when
-  // re-admitted. The prober is a repeating timer — call DisableFailureDetection() before
-  // draining a world to quiescence (RunAll would otherwise never run out of events).
+  // and fail over (RemoveCoordinator, journaled as kDetected after its kRing entry).
+  // Recovered coordinators re-enter probing when re-admitted. The prober is a repeating
+  // timer — call DisableFailureDetection() before draining a world to quiescence (RunAll
+  // would otherwise never run out of events).
   void EnableFailureDetection(FailoverConfig config = {});
   void DisableFailureDetection();
-
-  const std::vector<FailoverEvent>& failover_log() const { return failover_log_; }
-  int64_t failovers() const { return failovers_; }
 
  private:
   friend ShardedCassandraStack MakeShardedCassandraStack(SimWorld&, int, KvConfig,
@@ -207,8 +203,9 @@ class ShardedCassandraStack {
   TimerId probe_timer_ = 0;
   uint64_t next_probe_id_ = 1;
   std::map<NodeId, int> unanswered_probes_;  // consecutive probes without an ack
-  std::vector<FailoverEvent> failover_log_;
-  int64_t failovers_ = 0;
+  // Crashed replicas that were coordinators at their latest crash: RecoverCoordinator's
+  // candidates for re-admission.
+  std::set<NodeId> crashed_coordinators_;
 };
 
 // Builds a cluster with one replica per `replica_regions` entry and routes traffic

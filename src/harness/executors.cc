@@ -269,6 +269,8 @@ void AddClientStats(ClientStats& into, const ClientStats& from) {
   into.cross_tick_batches += from.cross_tick_batches;
   into.batched_writes += from.batched_writes;
   into.overload_sheds += from.overload_sheds;
+  into.dropped_emissions += from.dropped_emissions;
+  into.preliminary_errors += from.preliminary_errors;
 }
 
 }  // namespace icg

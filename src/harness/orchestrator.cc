@@ -3,30 +3,16 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <string>
 #include <vector>
 
 namespace icg {
 
-const char* ControlActionName(ControlActionKind kind) {
-  switch (kind) {
-    case ControlActionKind::kNone: return "none";
-    case ControlActionKind::kWidenWindow: return "widen";
-    case ControlActionKind::kShrinkWindow: return "shrink";
-    case ControlActionKind::kScaleOut: return "scale-out";
-    case ControlActionKind::kScaleIn: return "scale-in";
-  }
-  return "?";
-}
-
-ControlAction OrchestratorPolicy::Emit(ControlActionKind kind, size_t detail) {
-  ++actions_;
-  cooldown_ = options_.cooldown_intervals;
+ControlAction OrchestratorPolicy::Emit(EventKind kind, size_t detail) {
+  cooldown_ = kCooldownIntervals;
   return ControlAction{kind, detail};
 }
 
 ControlAction OrchestratorPolicy::Decide(const ControlSample& sample) {
-  ++intervals_;
   if (sample.shards.empty()) {
     // Degenerate window: nothing to judge, and no episode to extend.
     shed_streak_ = 0;
@@ -46,7 +32,7 @@ ControlAction OrchestratorPolicy::Decide(const ControlSample& sample) {
   // saturation episode keeps accumulating evidence while an earlier action settles.
   const bool shedding = sample.shed_delta > 0;
   shed_streak_ = shedding ? shed_streak_ + 1 : 0;
-  const bool cool = !shedding && per_shard <= options_.cool_outstanding_per_shard;
+  const bool cool = !shedding && per_shard <= kCoolOutstandingPerShard;
   cool_streak_ = cool ? cool_streak_ + 1 : 0;
 
   if (cooldown_ > 0) {
@@ -55,30 +41,30 @@ ControlAction OrchestratorPolicy::Decide(const ControlSample& sample) {
   }
 
   // 1) Sustained sheds: the ring is refusing work — capacity before batching.
-  if (shed_streak_ >= options_.shed_intervals_to_scale_out && sample.spare_replicas > 0 &&
+  if (shed_streak_ >= kShedIntervalsToScaleOut && sample.spare_replicas > 0 &&
       sample.shards.size() < kMaxCoordinators) {
     shed_streak_ = 0;
-    return Emit(ControlActionKind::kScaleOut, 0);
+    return Emit(EventKind::kScaleOut, 0);
   }
 
   // 2) Saturation: deep per-shard queues (or sheds with nothing to promote) — climb
   // the window ladder to cut msgs/op.
   const size_t ladder = std::min(kWindowLadder.size(), sample.window_ladder_size);
-  if ((per_shard >= options_.widen_outstanding_per_shard || shedding) &&
+  if ((per_shard >= kWidenOutstandingPerShard || shedding) &&
       sample.window_index + 1 < ladder) {
-    return Emit(ControlActionKind::kWidenWindow, sample.window_index + 1);
+    return Emit(EventKind::kWiden, sample.window_index + 1);
   }
 
   // 3) Idle: shallow queues and a clean interval — step back down for latency.
-  if (!shedding && per_shard <= options_.shrink_outstanding_per_shard &&
+  if (!shedding && per_shard <= kShrinkOutstandingPerShard &&
       sample.window_index > 0) {
-    return Emit(ControlActionKind::kShrinkWindow, sample.window_index - 1);
+    return Emit(EventKind::kShrink, sample.window_index - 1);
   }
 
   // 4) Sustained cool: retire the coordinator owning the least keyspace. Strictly
   // unreachable when shed_delta > 0 — shedding reset the cool streak above.
-  if (cool_streak_ >= options_.cool_intervals_to_scale_in &&
-      sample.shards.size() > options_.min_coordinators) {
+  if (cool_streak_ >= kCoolIntervalsToScaleIn &&
+      sample.shards.size() > min_coordinators_) {
     const ShardSignal* victim = nullptr;
     for (const ShardSignal& shard : sample.shards) {
       if (victim == nullptr || shard.primary_share < victim->primary_share ||
@@ -87,15 +73,14 @@ ControlAction OrchestratorPolicy::Decide(const ControlSample& sample) {
       }
     }
     cool_streak_ = 0;
-    return Emit(ControlActionKind::kScaleIn, victim->shard);
+    return Emit(EventKind::kScaleIn, victim->shard);
   }
 
   return {};
 }
 
-Orchestrator::Orchestrator(SimWorld* world, ShardedCassandraStack* stack,
-                           OrchestratorOptions options)
-    : world_(world), stack_(stack), policy_(std::move(options)) {
+Orchestrator::Orchestrator(SimWorld* world, ShardedCassandraStack* stack)
+    : world_(world), stack_(stack), policy_(stack->coordinator_ids().size()) {
   assert(world_ != nullptr && stack_ != nullptr);
   // Join the ladder at the stack's current window (rung 0 if it is off-ladder).
   const SimDuration current = stack_->batch_window();
@@ -143,7 +128,6 @@ int64_t Orchestrator::TotalSheds() const {
 
 ControlSample Orchestrator::Sample() {
   ControlSample sample;
-  sample.ring_epoch = stack_->ring_epoch();
   sample.window_index = window_index_;
   sample.window_ladder_size = kWindowLadder.size();
 
@@ -179,82 +163,51 @@ ControlSample Orchestrator::Sample() {
   return sample;
 }
 
-void Orchestrator::Record(ControlActionKind kind, size_t detail,
-                          const ControlSample& sample) {
-  OrchestratorEvent event;
-  event.at = world_->loop().Now();
-  event.kind = kind;
-  event.detail = detail;
-  event.ring_epoch = stack_->ring_epoch();
-  event.shed_delta = sample.shed_delta;
-  size_t total_outstanding = 0;
-  for (const ShardSignal& shard : sample.shards) {
-    total_outstanding += shard.outstanding;
+void Orchestrator::Apply(const ControlAction& action) {
+  if (!action.kind) {
+    return;
   }
-  event.total_outstanding = total_outstanding;
-  events_.push_back(event);
-}
-
-void Orchestrator::Apply(const ControlAction& action, const ControlSample& sample) {
-  switch (action.kind) {
-    case ControlActionKind::kNone:
-      break;
-    case ControlActionKind::kWidenWindow:
-    case ControlActionKind::kShrinkWindow:
+  NodeId node = kInvalidNode;
+  int64_t detail = 0;
+  switch (*action.kind) {
+    case EventKind::kWiden:
+    case EventKind::kShrink:
       window_index_ = action.detail;
       stack_->SetBatchWindow(kWindowLadder[window_index_]);
-      Record(action.kind, action.detail, sample);
+      detail = static_cast<int64_t>(window_index_);
       break;
-    case ControlActionKind::kScaleOut: {
+    case EventKind::kScaleOut:
       // First spare in cluster order: deterministic.
-      NodeId promoted = kInvalidNode;
       for (const auto& replica : stack_->cluster->replicas()) {
         const auto& ring = stack_->coordinator_ids();
         if (std::find(ring.begin(), ring.end(), replica->id()) == ring.end()) {
-          promoted = replica->id();
+          node = replica->id();
           break;
         }
       }
-      if (promoted == kInvalidNode) {
-        break;  // raced a concurrent membership change; nothing to promote
+      if (node == kInvalidNode) {
+        return;  // raced a concurrent membership change; nothing to promote
       }
-      stack_->AddCoordinator(promoted);
-      Record(action.kind, static_cast<size_t>(promoted), sample);
+      stack_->AddCoordinator(node);
+      detail = static_cast<int64_t>(stack_->coordinator_ids().size());
       break;
-    }
-    case ControlActionKind::kScaleIn: {
+    case EventKind::kScaleIn:
       if (action.detail >= stack_->coordinator_ids().size() ||
           stack_->coordinator_ids().size() <= 1) {
-        break;
+        return;
       }
-      const NodeId retired = stack_->coordinator_ids()[action.detail];
-      stack_->RemoveCoordinator(retired);
-      Record(action.kind, static_cast<size_t>(retired), sample);
+      node = stack_->coordinator_ids()[action.detail];
+      stack_->RemoveCoordinator(node);
+      detail = static_cast<int64_t>(stack_->coordinator_ids().size());
       break;
-    }
+    default:
+      return;  // not a control action
   }
+  world_->journal().Append(*action.kind, node, stack_->ring_epoch(), detail);
 }
 
 void Orchestrator::Tick() {
-  ++ticks_;
-  const ControlSample sample = Sample();
-  const ControlAction action = policy_.Decide(sample);
-  Apply(action, sample);
-}
-
-std::string Orchestrator::EventLogFingerprint() const {
-  std::string fingerprint;
-  for (const OrchestratorEvent& event : events_) {
-    fingerprint += std::to_string(event.at);
-    fingerprint += ':';
-    fingerprint += ControlActionName(event.kind);
-    fingerprint += ':';
-    fingerprint += std::to_string(event.detail);
-    fingerprint += ":e";
-    fingerprint += std::to_string(event.ring_epoch);
-    fingerprint += ";";
-  }
-  return fingerprint;
+  Apply(policy_.Decide(Sample()));
 }
 
 }  // namespace icg

@@ -18,9 +18,9 @@
 //
 // Determinism argument: every input is a virtual-time counter (router snapshots,
 // PrimaryLoadEstimate under a fixed seed) — never a wall-clock metric — and ticks are
-// timers on the world's own loop. So the controller's action log is a pure function of
-// the seed; the orchestrator oracle checks that two same-seed runs log the same actions
-// with EventLogFingerprint().
+// timers on the world's own loop. So the applied actions, which the orchestrator appends
+// to the world's journal, are a pure function of the seed; the orchestrator oracle
+// checks that two same-seed runs produce the same Journal::Fingerprint().
 //
 // The batch-window ladder is {0, 1ms, 5ms, 20ms} — the BENCH_batch_window
 // operating points, where msgs/op falls 6.31 -> 4.88 -> 3.19 -> 1.53 for a p50 cost of
@@ -32,29 +32,21 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <utility>
+#include <optional>
 #include <vector>
 
 #include "src/common/types.h"
 #include "src/harness/deployment.h"
+#include "src/harness/journal.h"
 
 namespace icg {
 
-enum class ControlActionKind {
-  kNone = 0,
-  kWidenWindow,   // climb one rung of the batch-window ladder
-  kShrinkWindow,  // descend one rung
-  kScaleOut,      // promote a spare replica into the coordinator ring
-  kScaleIn,       // retire the coldest coordinator from the ring
-};
-
-const char* ControlActionName(ControlActionKind kind);
-
+// One decision: nothing (no kind), a batch-window rung change (kWiden/kShrink) or a ring
+// change (kScaleOut/kScaleIn), in the journal's kinds.
 struct ControlAction {
-  ControlActionKind kind = ControlActionKind::kNone;
-  // kWidenWindow/kShrinkWindow: the new ladder index. kScaleIn: the shard index whose
-  // coordinator should retire. Otherwise 0.
+  std::optional<EventKind> kind;
+  // kWiden/kShrink: the new ladder index. kScaleIn: the shard index whose coordinator
+  // should retire. Otherwise 0.
   size_t detail = 0;
 };
 
@@ -70,7 +62,6 @@ struct ShardSignal {
 // virtual-time state; shard order must not affect the decision (the metamorphic suite
 // feeds reversed vectors).
 struct ControlSample {
-  uint64_t ring_epoch = 0;
   std::vector<ShardSignal> shards;
   // Aggregate sheds since the previous sample, from RouterLoadSnapshot::total_sheds()
   // — monotone across ring changes, so the delta is epoch-safe.
@@ -93,32 +84,29 @@ inline constexpr size_t kMaxCoordinators = 64;
 inline constexpr int kLoadEstimateSamples = 128;
 inline constexpr uint64_t kLoadEstimateSeed = 42;
 
-struct OrchestratorOptions {
-  // Hysteresis bands on mean outstanding-per-shard: widen at or above the high band,
-  // shrink at or below the low band. The gap between them is what prevents the window
-  // from oscillating when load sits between the rungs.
-  double widen_outstanding_per_shard = 16.0;
-  double shrink_outstanding_per_shard = 2.0;
-  // Consecutive shedding intervals before scaling the ring out: one interval of sheds
-  // may be a transient burst; two means the queue limit is genuinely too tight.
-  int shed_intervals_to_scale_out = 2;
-  // Consecutive cool intervals (no sheds AND outstanding at or under the cool band)
-  // before scaling in. Deliberately the slow direction: growing too late sheds work,
-  // shrinking too early immediately re-sheds it.
-  int cool_intervals_to_scale_in = 6;
-  double cool_outstanding_per_shard = 1.0;
-  // Decide() calls to sit out after emitting an action, letting its effect reach the
-  // counters before the next judgement.
-  int cooldown_intervals = 2;
-  size_t min_coordinators = 1;
-};
+// Hysteresis bands on mean outstanding-per-shard: widen at or above the high band,
+// shrink at or below the low band. The gap between them is what prevents the window
+// from oscillating when load sits between the rungs.
+inline constexpr double kWidenOutstandingPerShard = 16.0;
+inline constexpr double kShrinkOutstandingPerShard = 2.0;
+// Consecutive shedding intervals before scaling the ring out: one interval of sheds may
+// be a transient burst; two means the queue limit is genuinely too tight.
+inline constexpr int kShedIntervalsToScaleOut = 2;
+// Consecutive cool intervals (no sheds AND outstanding at or under the cool band) before
+// scaling in. Deliberately the slow direction: growing too late sheds work, shrinking
+// too early immediately re-sheds it.
+inline constexpr int kCoolIntervalsToScaleIn = 6;
+inline constexpr double kCoolOutstandingPerShard = 1.0;
+// Decide() calls to sit out after emitting an action, letting its effect reach the
+// counters before the next judgement.
+inline constexpr int kCooldownIntervals = 2;
 
 // The pure decision core. Holds only deterministic episode state (streaks, cooldown);
 // feeding the same sample sequence always yields the same action sequence.
 class OrchestratorPolicy {
  public:
-  OrchestratorPolicy() : OrchestratorPolicy(OrchestratorOptions{}) {}
-  explicit OrchestratorPolicy(OrchestratorOptions options) : options_(std::move(options)) {}
+  // Scale-in never shrinks the ring below `min_coordinators`.
+  explicit OrchestratorPolicy(size_t min_coordinators) : min_coordinators_(min_coordinators) {}
 
   // One control interval: returns at most one action. Streaks update every call (even
   // under cooldown, so a saturation episode is never under-counted); the cooldown only
@@ -129,64 +117,38 @@ class OrchestratorPolicy {
   // the shed streak and reset the cool streak, so it never triggers scale-in.
   ControlAction Decide(const ControlSample& sample);
 
-  const OrchestratorOptions& options() const { return options_; }
-  int64_t intervals_observed() const { return intervals_; }
-  int64_t actions_emitted() const { return actions_; }
-
  private:
-  ControlAction Emit(ControlActionKind kind, size_t detail);
+  ControlAction Emit(EventKind kind, size_t detail);
 
-  OrchestratorOptions options_;
-  int64_t intervals_ = 0;
-  int64_t actions_ = 0;
+  size_t min_coordinators_;
   int cooldown_ = 0;
   int shed_streak_ = 0;  // consecutive intervals with shed_delta > 0
   int cool_streak_ = 0;  // consecutive intervals cool enough to justify scale-in
 };
 
-// One applied control decision, for logs, tests, and the determinism fingerprint.
-struct OrchestratorEvent {
-  SimTime at = 0;
-  ControlActionKind kind = ControlActionKind::kNone;
-  size_t detail = 0;
-  uint64_t ring_epoch = 0;  // after the action applied
-  int64_t shed_delta = 0;
-  size_t total_outstanding = 0;
-};
-
-// Harness glue: samples the deployment, lets the policy decide, actuates, repeats.
-// Construct after building the stack, then Start(); call Stop() before draining the
-// world with Run (the tick is self-rescheduling, like the failure detector's probe
+// Harness glue: samples the deployment, lets the policy decide, actuates, repeats, and
+// journals every applied action. Construct after building the stack — the ring size it
+// sees then is the floor scale-in returns to — then Start(); call Stop() before draining
+// the world with Run (the tick is self-rescheduling, like the failure detector's probe
 // timer). The orchestrator must outlive the world's last event.
 class Orchestrator {
  public:
-  Orchestrator(SimWorld* world, ShardedCassandraStack* stack,
-               OrchestratorOptions options = {});
+  Orchestrator(SimWorld* world, ShardedCassandraStack* stack);
 
   // Baselines the shed counters and schedules the first tick one control interval
   // from now.
   void Start();
   // Stops the loop: cancels the pending tick, so the world can drain to quiescence.
   void Stop();
-  bool running() const { return running_; }
 
   size_t window_index() const { return window_index_; }
-  SimDuration current_window() const { return kWindowLadder.at(window_index_); }
-  const OrchestratorPolicy& policy() const { return policy_; }
-  const std::vector<OrchestratorEvent>& events() const { return events_; }
-  int64_t ticks() const { return ticks_; }
-
-  // Compact encoding of the applied-action log (time/kind/detail/epoch per event) —
-  // what the determinism oracle compares bit-for-bit.
-  std::string EventLogFingerprint() const;
 
  private:
   void ScheduleTick();
   void Tick();
   ControlSample Sample();
-  void Apply(const ControlAction& action, const ControlSample& sample);
+  void Apply(const ControlAction& action);
   int64_t TotalSheds() const;
-  void Record(ControlActionKind kind, size_t detail, const ControlSample& sample);
 
   SimWorld* world_;
   ShardedCassandraStack* stack_;
@@ -196,8 +158,6 @@ class Orchestrator {
   TimerId tick_timer_ = 0;
   size_t window_index_ = 0;
   int64_t last_total_sheds_ = 0;
-  int64_t ticks_ = 0;
-  std::vector<OrchestratorEvent> events_;
 };
 
 }  // namespace icg

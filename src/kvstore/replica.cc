@@ -6,8 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "src/common/logging.h"
-
 namespace icg {
 
 namespace {

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "src/common/logging.h"
-
 namespace icg {
 
 ZabServer::ZabServer(Network* network, NodeId id, const ZabConfig* config,

@@ -428,7 +428,7 @@ class HoldingBinding : public Binding {
   std::vector<std::pair<Operation, LevelEmitter>> held_;
 };
 
-TEST(BindingRouter, HotShardShedsAloneWithRetryableStatus) {
+TEST(BindingRouter, HotShardAloneShedsWithRetryableStatus) {
   auto h0 = std::make_shared<HoldingBinding>("h0");
   auto h1 = std::make_shared<HoldingBinding>("h1");
   auto router = std::make_shared<BindingRouter>(
@@ -439,27 +439,27 @@ TEST(BindingRouter, HotShardShedsAloneWithRetryableStatus) {
   // Fill shard 0's queue; both invocations park in flight.
   auto a = client.InvokeStrong(Operation::Get("k0"));
   auto b = client.InvokeStrong(Operation::Get("k2"));
-  EXPECT_EQ(router->ShardOutstanding(0), 2u);
+  EXPECT_EQ(router->LoadSnapshot().shards[0].outstanding, 2u);
 
   // The next shard-0 invocation is shed with a retryable OVERLOADED error...
   auto shed = client.InvokeStrong(Operation::Get("k4"));
   ASSERT_EQ(shed.state(), CorrectableState::kError);
   EXPECT_EQ(shed.error().code(), StatusCode::kOverloaded);
   EXPECT_TRUE(IsRetryable(shed.error()));
-  EXPECT_EQ(router->ShardSheds(0), 1);
+  EXPECT_EQ(router->LoadSnapshot().shards[0].sheds, 1);
   EXPECT_EQ(client.stats().overload_sheds, 1);
 
   // ...while shard 1 keeps admitting: the hot shard degrades alone.
   auto healthy = client.InvokeStrong(Operation::Get("k1"));
   EXPECT_EQ(healthy.state(), CorrectableState::kUpdating);
   EXPECT_EQ(h1->held(), 1u);
-  EXPECT_EQ(router->ShardSheds(1), 0);
+  EXPECT_EQ(router->LoadSnapshot().shards[1].sheds, 0);
 
   // Draining the queue frees the slots; the retried invocation is admitted.
   h0->ReleaseAll();
   EXPECT_EQ(a.Final().value().value, "h0/k0");
   EXPECT_EQ(b.Final().value().value, "h0/k2");
-  EXPECT_EQ(router->ShardOutstanding(0), 0u);
+  EXPECT_EQ(router->LoadSnapshot().shards[0].outstanding, 0u);
   auto retried = client.InvokeStrong(Operation::Get("k4"));
   EXPECT_EQ(retried.state(), CorrectableState::kUpdating);
   EXPECT_EQ(h0->held(), 1u);
@@ -477,8 +477,8 @@ TEST(BindingRouter, OutstandingAccountingSurvivesRingChanges) {
 
   auto parked_on_h0 = client.InvokeStrong(Operation::Get("k0"));
   auto parked_on_h1 = client.InvokeStrong(Operation::Get("k1"));
-  EXPECT_EQ(router->ShardOutstanding(0), 1u);
-  EXPECT_EQ(router->ShardOutstanding(1), 1u);
+  EXPECT_EQ(router->LoadSnapshot().shards[0].outstanding, 1u);
+  EXPECT_EQ(router->LoadSnapshot().shards[1].outstanding, 1u);
 
   // Remove h1 from the ring while it still holds an invocation. The surviving shard's
   // slot accounting is untouched, and the departed shard's eventual completion drains
@@ -486,13 +486,14 @@ TEST(BindingRouter, OutstandingAccountingSurvivesRingChanges) {
   ASSERT_TRUE(router->ApplyRing(1, {h0}, [](const std::string&) -> size_t { return 0; })
                   .ok());
   EXPECT_EQ(router->num_shards(), 1u);
-  EXPECT_EQ(router->ShardOutstanding(0), 1u);
+  EXPECT_EQ(router->LoadSnapshot().shards[0].outstanding, 1u);
   h1->ReleaseAll();  // drains the in-flight invocation against the departed shard
   EXPECT_EQ(parked_on_h1.Final().value().value, "h1/k1");
-  EXPECT_EQ(router->ShardOutstanding(0), 1u);  // survivor still holds its own slot
+  // The survivor still holds its own slot.
+  EXPECT_EQ(router->LoadSnapshot().shards[0].outstanding, 1u);
   h0->ReleaseAll();
   EXPECT_EQ(parked_on_h0.Final().value().value, "h0/k0");
-  EXPECT_EQ(router->ShardOutstanding(0), 0u);
+  EXPECT_EQ(router->LoadSnapshot().shards[0].outstanding, 0u);
 }
 
 TEST(BindingRouter, CrashedShardRetiresCountersWithoutUnderflow) {
@@ -511,42 +512,42 @@ TEST(BindingRouter, CrashedShardRetiresCountersWithoutUnderflow) {
   // slots would be pinned forever...
   auto a = client.InvokeStrong(Operation::Get("k0"));
   auto b = client.InvokeStrong(Operation::Get("k2"));
-  EXPECT_EQ(router->ShardOutstanding(0), 2u);
+  EXPECT_EQ(router->LoadSnapshot().shards[0].outstanding, 2u);
   auto shed = client.InvokeStrong(Operation::Get("k4"));
   EXPECT_EQ(shed.state(), CorrectableState::kError);
-  EXPECT_EQ(router->ShardSheds(0), 1);
+  EXPECT_EQ(router->LoadSnapshot().shards[0].sheds, 1);
 
   // ...until failover retires the block atomically with the ring swap: index 0 of the
   // new ring (the survivor) starts clean.
   ASSERT_TRUE(
       router->ApplyRing(1, {h1}, [](const std::string&) -> size_t { return 0; }).ok());
   EXPECT_EQ(router->num_shards(), 1u);
-  EXPECT_EQ(router->ShardOutstanding(0), 0u);
+  EXPECT_EQ(router->LoadSnapshot().shards[0].outstanding, 0u);
 
   // Late terminals from the corpse land on the retired block and clamp at zero instead
   // of wrapping a size_t (the pre-retirement code asserted/underflowed here).
   h0->ReleaseAll();
   EXPECT_EQ(a.state(), CorrectableState::kFinal);
   EXPECT_EQ(b.state(), CorrectableState::kFinal);
-  EXPECT_EQ(router->ShardOutstanding(0), 0u);
+  EXPECT_EQ(router->LoadSnapshot().shards[0].outstanding, 0u);
 
   // The survivor serves the whole keyspace with clean admission accounting.
   auto c = client.InvokeStrong(Operation::Get("k4"));
   EXPECT_EQ(c.state(), CorrectableState::kUpdating);
-  EXPECT_EQ(router->ShardOutstanding(0), 1u);
+  EXPECT_EQ(router->LoadSnapshot().shards[0].outstanding, 1u);
   h1->ReleaseAll();
   EXPECT_EQ(c.Final().value().value, "h1/k4");
-  EXPECT_EQ(router->ShardOutstanding(0), 0u);
+  EXPECT_EQ(router->LoadSnapshot().shards[0].outstanding, 0u);
 
   // Re-admission after recovery: the returning shard gets a fresh, unretired block and
   // counts from zero again.
   ASSERT_TRUE(router->ApplyRing(2, {h1, h0}, SuffixShardFn(2)).ok());
-  EXPECT_EQ(router->ShardOutstanding(1), 0u);
+  EXPECT_EQ(router->LoadSnapshot().shards[1].outstanding, 0u);
   auto d = client.InvokeStrong(Operation::Get("k1"));  // suffix 1 -> index 1 = h0
-  EXPECT_EQ(router->ShardOutstanding(1), 1u);
+  EXPECT_EQ(router->LoadSnapshot().shards[1].outstanding, 1u);
   h0->ReleaseAll();
   EXPECT_EQ(d.Final().value().value, "h0/k1");
-  EXPECT_EQ(router->ShardOutstanding(1), 0u);
+  EXPECT_EQ(router->LoadSnapshot().shards[1].outstanding, 0u);
 }
 
 TEST(BindingRouter, ZeroLimitDisablesShedding) {
@@ -558,7 +559,7 @@ TEST(BindingRouter, ZeroLimitDisablesShedding) {
   for (int i = 0; i < 64; ++i) {
     handles.push_back(client.InvokeStrong(Operation::Get("k" + std::to_string(i))));
   }
-  EXPECT_EQ(router->ShardOutstanding(0), 64u);
+  EXPECT_EQ(router->LoadSnapshot().shards[0].outstanding, 64u);
   EXPECT_EQ(router->LoadSnapshot().total_sheds(), 0);
   h0->ReleaseAll();
   for (auto& handle : handles) {

@@ -1,6 +1,7 @@
 // InvocationPipeline behaviour that is not visible through the plain client surface:
 // same-tick read coalescing (batch formation, fan-out, history replay to late joiners),
-// plan rejection, and suppression of emissions at unrequested levels.
+// plan rejection, and the counted suppression of emissions at unrequested levels and of
+// failed preliminaries.
 #include "src/correctables/invocation_pipeline.h"
 
 #include <gtest/gtest.h>
@@ -201,6 +202,8 @@ TEST(CoalescingReplay, SynchronousViewsReplayedToLateJoiners) {
 }
 
 // A scriptable binding in the style of the client tests, for pathological emissions.
+// Its one step declares the requested levels, or every supported level when
+// `declare_all_levels` is set.
 class ScriptedBinding : public Binding {
  public:
   std::string Name() const override { return "scripted"; }
@@ -209,11 +212,14 @@ class ScriptedBinding : public Binding {
   }
   InvocationPlan PlanInvocation(const Operation&, const LevelSet& levels) override {
     InvocationPlan plan;
-    plan.AddSpan(levels.levels(), [this](const Operation&, LevelEmitter emit) {
-      emitters_.push_back(std::move(emit));
-    });
+    plan.AddSpan(declare_all_levels ? LevelVec{ConsistencyLevel::kWeak, ConsistencyLevel::kStrong}
+                                    : levels.levels(),
+                 [this](const Operation&, LevelEmitter emit) {
+                   emitters_.push_back(std::move(emit));
+                 });
     return plan;
   }
+  bool declare_all_levels = false;
   std::vector<LevelEmitter> emitters_;
 };
 
@@ -227,6 +233,38 @@ TEST(PipelineValidation, EmissionAtUnrequestedLevelIsDropped) {
   emit(ConsistencyLevel::kStrong, Result("s"));
   EXPECT_EQ(c.Final().value().value, "s");
   EXPECT_EQ(client.stats().views_delivered, 1);
+  EXPECT_EQ(client.stats().dropped_emissions, 1);
+}
+
+TEST(PipelineValidation, DeclaredButUnrequestedEmissionIsDropped) {
+  // The step declares WEAK, so the emission passes the step's check; the invocation
+  // asked only for STRONG, so the pipeline drops it.
+  auto binding = std::make_shared<ScriptedBinding>();
+  binding->declare_all_levels = true;
+  CorrectableClient client(binding);
+  auto c = client.InvokeStrong(Operation::Get("k"));
+  auto& emit = binding->emitters_.back();
+  emit(ConsistencyLevel::kWeak, Result("never-asked-for"));
+  EXPECT_FALSE(c.HasView());
+  emit(ConsistencyLevel::kStrong, Result("s"));
+  EXPECT_EQ(c.Final().value().value, "s");
+  EXPECT_EQ(client.stats().dropped_emissions, 1);
+}
+
+TEST(PipelineValidation, FailedPreliminaryIsCountedAndTheFinalStillCloses) {
+  auto binding = std::make_shared<ScriptedBinding>();
+  CorrectableClient client(binding);
+  auto c = client.Invoke(Operation::Get("k"));  // WEAK then STRONG
+  auto& emit = binding->emitters_.back();
+  emit(ConsistencyLevel::kWeak, Status::Unavailable("weak replica down"));
+  EXPECT_EQ(c.state(), CorrectableState::kUpdating);  // tolerated: a stronger view may come
+  EXPECT_FALSE(c.HasView());
+  emit(ConsistencyLevel::kStrong, Result("s"));
+  EXPECT_EQ(c.state(), CorrectableState::kFinal);
+  EXPECT_EQ(c.Final().value().value, "s");
+  EXPECT_EQ(client.stats().preliminary_errors, 1);
+  EXPECT_EQ(client.stats().errors, 0);
+  EXPECT_EQ(client.stats().dropped_emissions, 0);
 }
 
 class RejectingBinding : public Binding {

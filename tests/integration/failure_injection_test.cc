@@ -379,7 +379,8 @@ TEST(RebalanceFailures, BackpressureShedFailsExactlyTheQueuedWaiters) {
 
   const ClientStats& stats = stack.client()->stats();
   EXPECT_EQ(stats.overload_sheds, 2);  // exactly the queued waiters of the shed cohort
-  EXPECT_EQ(stack.router()->ShardSheds(hot_shard), 1);  // one shed flush covered both
+  // One shed flush covered both.
+  EXPECT_EQ(stack.router()->LoadSnapshot().shards[hot_shard].sheds, 1);
 
   // The queue drained with the in-flight read; a retry is admitted and completes.
   auto retried = stack.client()->InvokeStrong(Operation::Get(hot[1]));

@@ -11,8 +11,8 @@
 // errors and the workload retries them with a virtual-time backoff.
 //
 // Two runs with the same seed must produce a bit-for-bit identical fingerprint,
-// INCLUDING the orchestrator's applied-action log: same actions, same virtual
-// timestamps, same ring epochs; the next seed must produce a different one. On top of
+// INCLUDING the world's journal of applied actions and ring changes: same actions, same
+// virtual timestamps, same ring epochs; the next seed must produce a different one. On top of
 // determinism the trial asserts the episode shape — the ramp provokes sheds and at
 // least one scale-out, the controller returns the deployment to a quiescent config
 // once load settles (no actions at all in the final settle window), and each knob
@@ -66,11 +66,9 @@ std::string RunAutoscaleTrial(uint64_t seed) {
   RandomKvLoad load({stack.client(), frk.client.get(), vrg.client.get()}, &checker, spec);
   load.Preload(*stack.cluster);
 
-  // The controller under test. min_coordinators = kStartCoordinators gives the
-  // scale-in cascade a floor the episode must return to.
-  OrchestratorOptions orch_options;
-  orch_options.min_coordinators = kStartCoordinators;
-  Orchestrator orchestrator(&world, &stack, orch_options);
+  // The controller under test. The starting ring size (kStartCoordinators) is the
+  // scale-in floor the episode must return to.
+  Orchestrator orchestrator(&world, &stack);
   orchestrator.Start();
   EXPECT_EQ(orchestrator.window_index(), 0u);  // batching starts disabled (rung 0)
 
@@ -93,14 +91,13 @@ std::string RunAutoscaleTrial(uint64_t seed) {
   // once load settles the controller must hand back a quiescent deployment: window at
   // the bottom rung, ring back at the floor, and NO actions in the settle window.
   EXPECT_GT(load.sheds(), 0) << "the 10x ramp never overflowed a shard queue";
-  int scale_outs = 0;
-  for (const OrchestratorEvent& event : orchestrator.events()) {
-    if (event.kind == ControlActionKind::kScaleOut) ++scale_outs;
-    EXPECT_LT(event.at, Seconds(10))
+  const Journal& journal = world.journal();
+  for (const JournalEntry& entry : journal.entries()) {
+    EXPECT_LT(entry.at, Seconds(10))
         << "controller still acting long after the load settled: "
-        << ControlActionName(event.kind) << " at " << event.at;
+        << EventKindName(entry.kind) << " at " << entry.at;
   }
-  EXPECT_GE(scale_outs, 1);
+  EXPECT_GE(journal.Count(EventKind::kScaleOut), 1);
   EXPECT_EQ(orchestrator.window_index(), 0u);
   EXPECT_EQ(stack.coordinator_ids().size(),
             static_cast<size_t>(kStartCoordinators));
@@ -111,14 +108,14 @@ std::string RunAutoscaleTrial(uint64_t seed) {
   int ring_flips = 0;
   int last_window_dir = 0;
   int last_ring_dir = 0;
-  for (const OrchestratorEvent& event : orchestrator.events()) {
+  for (const JournalEntry& entry : journal.entries()) {
     int dir = 0;
     bool ring = false;
-    switch (event.kind) {
-      case ControlActionKind::kWidenWindow: dir = +1; break;
-      case ControlActionKind::kShrinkWindow: dir = -1; break;
-      case ControlActionKind::kScaleOut: dir = +1; ring = true; break;
-      case ControlActionKind::kScaleIn: dir = -1; ring = true; break;
+    switch (entry.kind) {
+      case EventKind::kWiden: dir = +1; break;
+      case EventKind::kShrink: dir = -1; break;
+      case EventKind::kScaleOut: dir = +1; ring = true; break;
+      case EventKind::kScaleIn: dir = -1; ring = true; break;
       default: break;
     }
     if (dir == 0) continue;
@@ -133,10 +130,9 @@ std::string RunAutoscaleTrial(uint64_t seed) {
   EXPECT_LE(window_flips, 1) << "batch window thrashed";
   EXPECT_LE(ring_flips, 1) << "coordinator ring thrashed";
 
-  // The applied-action log is part of the determinism contract: same decisions, same
-  // virtual timestamps, same ring epochs for the same seed.
-  return std::to_string(checker.fingerprint()) + "|orch:" +
-         orchestrator.EventLogFingerprint() + "|epoch" + std::to_string(stack.ring_epoch()) +
+  // The journal is part of the determinism contract: same decisions, same virtual
+  // timestamps, same ring epochs for the same seed.
+  return std::to_string(checker.fingerprint()) + "|journal:" + journal.Fingerprint() +
          "|sheds" + std::to_string(load.sheds());
 }
 

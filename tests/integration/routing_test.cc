@@ -281,6 +281,14 @@ TEST(ShardedRouting, CoordinatorJoinsUnderLoadWithoutBreakingInvocations) {
 
   EXPECT_EQ(stack.router()->num_shards(), 3u);
   EXPECT_EQ(stack.ring_epoch(), 1u);
+  // The join is journaled once, at its virtual time, with the epoch it installed.
+  ASSERT_EQ(world.journal().entries().size(), 1u);
+  const JournalEntry& join = world.journal().entries().front();
+  EXPECT_EQ(join.at, Millis(500));
+  EXPECT_EQ(join.kind, EventKind::kRing);
+  EXPECT_EQ(join.node, joiner);
+  EXPECT_EQ(join.epoch, 1u);
+  EXPECT_EQ(join.detail, +1);
   for (auto& handle : handles) {
     ASSERT_EQ(handle.state(), CorrectableState::kFinal);
     EXPECT_EQ(handle.views_delivered(), 2);  // weak-then-strong survived the join
@@ -320,6 +328,12 @@ TEST(ShardedRouting, CoordinatorLeavesUnderLoadAndInFlightWorkDrains) {
   world.loop().Run();
 
   EXPECT_EQ(stack.router()->num_shards(), 2u);
+  ASSERT_EQ(world.journal().entries().size(), 1u);
+  const JournalEntry& leave = world.journal().entries().front();
+  EXPECT_EQ(leave.kind, EventKind::kRing);
+  EXPECT_EQ(leave.node, leaver);
+  EXPECT_EQ(leave.epoch, stack.ring_epoch());
+  EXPECT_EQ(leave.detail, -1);
   for (auto& handle : handles) {
     ASSERT_EQ(handle.state(), CorrectableState::kFinal);
     EXPECT_EQ(handle.views_delivered(), 2);
@@ -343,6 +357,50 @@ TEST(ShardedRouting, SecondRoutedClientAgreesOnOwnership) {
   world.loop().Run();
   ASSERT_EQ(c.state(), CorrectableState::kFinal);
   EXPECT_EQ(c.Final().value().value, "payload");
+}
+
+TEST(ShardedRouting, RecoveryReadmitsOnlyACoordinatorTheRingLost) {
+  SimWorld world(11, 0.0);
+  auto stack = MakeShardedCassandraStack(
+      world, 3, KvConfig{}, CassandraBindingConfig{}, Region::kIreland,
+      {Region::kFrankfurt, Region::kIreland, Region::kVirginia, Region::kCalifornia});
+  const std::vector<NodeId> ring = stack.coordinator_ids();
+  const NodeId plain = stack.cluster->replicas().back()->id();
+  const Journal& journal = world.journal();
+
+  // A plain replica crashes and recovers: it never joins the ring.
+  stack.CrashCoordinator(plain);
+  stack.RecoverCoordinator(plain);
+  EXPECT_EQ(stack.coordinator_ids(), ring);
+  ASSERT_EQ(journal.entries().size(), 2u);
+  EXPECT_EQ(journal.entries()[0].kind, EventKind::kCrash);
+  EXPECT_EQ(journal.entries()[0].detail, 0);  // not a coordinator
+  EXPECT_EQ(journal.entries()[1].kind, EventKind::kRejoined);
+  EXPECT_EQ(journal.entries()[1].detail, 0);  // not re-admitted
+
+  // A coordinator recovered before anything routed around it is still in the ring and
+  // must not be inserted twice.
+  stack.CrashCoordinator(ring.front());
+  stack.RecoverCoordinator(ring.front());
+  EXPECT_EQ(stack.coordinator_ids(), ring);
+  EXPECT_EQ(stack.ring_epoch(), 0u);
+  ASSERT_EQ(journal.entries().size(), 4u);
+  EXPECT_EQ(journal.entries()[2].detail, 1);  // crashed as a coordinator
+  EXPECT_EQ(journal.entries()[3].detail, 0);  // still in the ring: not re-admitted
+
+  // A coordinator the ring lost while it was down re-enters at a fresh epoch.
+  stack.CrashCoordinator(ring.front());
+  stack.RemoveCoordinator(ring.front());  // what the failure detector does
+  stack.RecoverCoordinator(ring.front());
+  EXPECT_EQ(stack.coordinator_ids().size(), ring.size());
+  EXPECT_EQ(stack.ring_epoch(), 2u);
+  ASSERT_EQ(journal.entries().size(), 8u);
+  EXPECT_EQ(journal.entries()[5].kind, EventKind::kRing);  // the removal
+  EXPECT_EQ(journal.entries()[6].kind, EventKind::kRing);  // the re-admission
+  EXPECT_EQ(journal.entries()[6].detail, +1);
+  EXPECT_EQ(journal.entries()[7].kind, EventKind::kRejoined);
+  EXPECT_EQ(journal.entries()[7].epoch, 2u);
+  EXPECT_EQ(journal.entries()[7].detail, 1);
 }
 
 }  // namespace
