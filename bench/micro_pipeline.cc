@@ -4,7 +4,9 @@
 // overhead, the price the paper argues must stay negligible against network latencies).
 // Two full-stack scenarios drive the same client API through MakeCassandraStack (binding,
 // KvClient, network, coordinator queue, quorum, WAL) until the world is idle again: a
-// CC2 ICG read to its final view and a strong (W=1) put of a 100 B value. The remaining
+// CC2 ICG read to its final view and a strong (W=1) put of a 100 B value. Two more run
+// them through the routed, batched path (MakeShardedCassandraStack, 5 ms window), and
+// one through ZooKeeper (a CZK ICG enqueue over the Zab broadcast). The remaining
 // scenarios price the Correctable machinery itself: source transitions, callback
 // dispatch, and the Map / Speculate / WhenAll combinators.
 //
@@ -54,10 +56,13 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: GCC would otherwise see the free() of a pointer from operator new at
+// every inlined call site and warn (-Wmismatched-new-delete), although the replaced
+// operator new above allocates with malloc.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace icg {
 namespace {
@@ -254,6 +259,34 @@ int Run(int argc, char** argv) {
   CassandraStack write_stack =
       MakeCassandraStack(write_world, KvConfig{}, CassandraBindingConfig{});
 
+  // The same two operations through the routed, batched path, one layer at a time added
+  // to the rows above: a 3-coordinator sharded stack (FRK/IRL/VRG, each its own shard)
+  // whose client batches over a 5 ms window, so every op goes through the batch
+  // scheduler's cohort and timer, the BindingRouter's shard choice and outstanding-slot
+  // tracking, and then the same store path. Reads cycle over keys on different shards.
+  BatchConfig window5ms;
+  window5ms.batch_window = Millis(5);
+  std::vector<std::string> routed_keys;
+  for (int i = 0; i < 8; ++i) {
+    routed_keys.push_back("user" + std::to_string(i));
+  }
+  SimWorld routed_read_world(/*seed=*/1, /*jitter_sigma=*/0.0);
+  ShardedCassandraStack routed_read_stack = MakeShardedCassandraStack(
+      routed_read_world, /*n_coordinators=*/3, KvConfig{}, CassandraBindingConfig{},
+      Region::kIreland, {Region::kFrankfurt, Region::kIreland, Region::kVirginia}, window5ms);
+  for (const std::string& key : routed_keys) {
+    routed_read_stack.cluster->Preload(key, value);
+  }
+  size_t next_routed_key = 0;
+  SimWorld routed_write_world(/*seed=*/1, /*jitter_sigma=*/0.0);
+  ShardedCassandraStack routed_write_stack = MakeShardedCassandraStack(
+      routed_write_world, /*n_coordinators=*/3, KvConfig{}, CassandraBindingConfig{},
+      Region::kIreland, {Region::kFrankfurt, Region::kIreland, Region::kVirginia}, window5ms);
+  // The Zab path: a CZK ICG enqueue (preliminary from the session server's simulation,
+  // final after the atomic broadcast commits) with the default ZooKeeper deployment.
+  SimWorld zab_world(/*seed=*/1, /*jitter_sigma=*/0.0);
+  ZooKeeperStack zab_stack = MakeZooKeeperStack(zab_world, ZabConfig{});
+
   const std::string payload100(100, 'x');
   const std::string payload1000(1000, 'x');
   const std::string payload10000(10000, 'x');
@@ -283,6 +316,23 @@ int Run(int argc, char** argv) {
              write_stack.client->InvokeStrong(Operation::Put("user1", value));
          write_world.loop().Run();
          Require(c.is_final());
+       }, kStackWarmup, kStackOps, kOneBatch)},
+      {"routed CC2 read, 5 ms window", "stack.routed_read", Timed([&]() {
+         const std::string& key = routed_keys[next_routed_key++ % routed_keys.size()];
+         Correctable<OpResult> c = routed_read_stack.client()->Invoke(Operation::Get(key));
+         routed_read_world.loop().Run();
+         Require(c.is_final() && c.views_delivered() == 2);
+       }, kStackWarmup, kStackOps, kOneBatch)},
+      {"routed strong write, 5 ms window", "stack.routed_write", Timed([&]() {
+         Correctable<OpResult> c =
+             routed_write_stack.client()->InvokeStrong(Operation::Put("user1", value));
+         routed_write_world.loop().Run();
+         Require(c.is_final());
+       }, kStackWarmup, kStackOps, kOneBatch)},
+      {"CZK ICG enqueue", "stack.zab_enqueue", Timed([&]() {
+         Correctable<OpResult> c = zab_stack.client->Invoke(Operation::Enqueue("q", value));
+         zab_world.loop().Run();
+         Require(c.is_final() && c.views_delivered() == 2);
        }, kStackWarmup, kStackOps, kOneBatch)},
       {"source close", "source_close", Timed([]() {
          CorrectableSource<int> src;

@@ -23,7 +23,9 @@ InvocationPlan CassandraBinding::PlanInvocation(const Operation& op, const Level
                        emit(is_final ? strongest : ConsistencyLevel::kWeak, std::move(result),
                             kind);
                      };
-                     client->Read(ReadRequest::Of(read), options, forward);
+                     static_assert(KvResponseFn::StoresInline<decltype(forward)>(),
+                                   "a read's response adapter must not allocate");
+                     client->Read(ReadRequest::Of(read), options, std::move(forward));
                    });
       return plan;
     }
@@ -34,10 +36,12 @@ InvocationPlan CassandraBinding::PlanInvocation(const Operation& op, const Level
       // program order) and still acknowledges once.
       plan.AddStep(levels.strongest(), [client = client_, level = levels.strongest()](
                                            const Operation& put, LevelEmitter emit) {
-        client->Write(WriteRequest::Of(put),
-                      [emit, level](StatusOr<OpResult> result, bool, ResponseKind kind) {
-                        emit(level, std::move(result), kind);
-                      });
+        auto forward = [emit, level](StatusOr<OpResult> result, bool, ResponseKind kind) {
+          emit(level, std::move(result), kind);
+        };
+        static_assert(KvResponseFn::StoresInline<decltype(forward)>(),
+                      "a write's response adapter must not allocate");
+        client->Write(WriteRequest::Of(put), std::move(forward));
       });
       return plan;
     default:

@@ -33,6 +33,8 @@ InvocationPlan ZooKeeperBinding::PlanInvocation(const Operation& op, const Level
           emit(is_final ? ConsistencyLevel::kStrong : ConsistencyLevel::kWeak,
                std::move(result), kind);
         };
+        static_assert(ZabResponseFn::StoresInline<decltype(forward)>(),
+                      "a queue op's response adapter must not allocate");
         if (qop.type == OpType::kEnqueue) {
           client->Enqueue(qop.key, qop.value, icg, forward);
         } else {

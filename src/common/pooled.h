@@ -8,7 +8,7 @@
 // allocator zero times.
 //
 // PoolAllocator is also a standard allocator, usable for node containers on the hot path
-// (e.g. the pipeline's open-batches map), where it recycles node blocks the same way.
+// (PooledMap), where it recycles node blocks the same way.
 //
 // Blocks are segregated by exact size at compile time (one list per instantiated block
 // type), capped per thread, and released to ::operator delete on thread exit. Freeing on
@@ -18,6 +18,8 @@
 #define ICG_COMMON_POOLED_H_
 
 #include <cstddef>
+#include <functional>
+#include <map>
 #include <memory>
 #include <new>
 #include <vector>
@@ -82,6 +84,11 @@ class PoolAllocator {
     return holder;
   }
 };
+
+// An ordered map whose nodes come from the pool, for maps on the hot path that insert
+// and erase a node per operation (in-flight requests, open batches).
+template <typename K, typename V>
+using PooledMap = std::map<K, V, std::less<K>, PoolAllocator<std::pair<const K, V>>>;
 
 // Drop-in make_shared replacement drawing from the thread-local pool.
 template <typename T, typename... Args>

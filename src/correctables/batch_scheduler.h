@@ -11,17 +11,16 @@
 // Division of labour: the scheduler owns *when* and *with whom* an operation batches
 // (cohort grouping, window timers, size caps). It never interprets waiters — they ride
 // along as opaque handles — and it never talks to a binding. The pipeline owns *what a
-// flush means*: it regroups a flushed cohort by the binding's current CoalescingScope
-// (a rebalance may have moved keys while the window was open), launches the batched
-// store submission, and fans responses back out per waiter. Per-waiter timers are armed
-// at submission, so a waiter whose deadline expires inside a pending cohort fails alone
-// while the rest of the cohort proceeds.
+// flush means*: it checks a flushed cohort against the binding's current
+// CoalescingScope and regroups it only if a rebalance moved keys while the window was
+// open, launches the batched store submission, and fans responses back out per waiter.
+// Per-waiter timers are armed at submission, so a waiter whose deadline expires inside a
+// pending cohort fails alone while the rest of the cohort proceeds.
 #ifndef ICG_CORRECTABLES_BATCH_SCHEDULER_H_
 #define ICG_CORRECTABLES_BATCH_SCHEDULER_H_
 
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -61,7 +60,9 @@ class BatchScheduler {
     std::vector<Pending> ops;
   };
 
-  using FlushFn = std::function<void(Cohort cohort)>;
+  // Called with each flushed cohort. The handler takes what it needs out of the cohort;
+  // the scheduler then recycles the cohort's op list for a later cohort.
+  using FlushFn = std::function<void(Cohort& cohort)>;
 
   // `loop` may be null (loop-less unit-test clients): enabled() is then always false.
   BatchScheduler(EventLoop* loop, FlushFn flush);
@@ -93,21 +94,30 @@ class BatchScheduler {
   void FlushAll();
 
   size_t pending_ops() const;
-  size_t pending_cohorts() const { return pending_.size(); }
+  size_t pending_cohorts() const { return open_.size(); }
 
  private:
   struct Open {
     Cohort cohort;
+    uint64_t id = 0;  // names the cohort to its flush timer
     TimerId timer = 0;
     SimTime opened_at = 0;  // first admission; deadlines re-derive from this on SetConfig
   };
 
-  void Flush(const std::string& key);
+  // Flushes the open cohort `id`; a no-op once it has flushed (size cap raced the timer).
+  void Flush(uint64_t id);
+  // The ids of the open cohorts, in the order FlushAll and SetConfig visit them.
+  std::vector<uint64_t> IdsInFlushOrder() const;
 
   EventLoop* loop_;
   FlushFn flush_;
   BatchConfig config_;
-  std::map<std::string, Open> pending_;  // keyed by kind + scope + level-set
+  // The open cohorts, at most one per (kind, scope, level set). There are a few at a time
+  // (kinds x shards), so a linear scan finds one; the vector keeps its capacity, and
+  // flushed cohorts' op lists wait in spare_ops_ for the next cohort to open.
+  std::vector<Open> open_;
+  std::vector<std::vector<Pending>> spare_ops_;
+  uint64_t next_id_ = 1;
 };
 
 }  // namespace icg

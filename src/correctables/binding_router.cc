@@ -6,6 +6,8 @@
 #include <optional>
 #include <utility>
 
+#include "src/common/pooled.h"
+
 namespace icg {
 namespace {
 
@@ -19,16 +21,18 @@ struct ShardSlice {
 
 std::vector<ShardSlice> SliceByShard(const BindingRouter& router,
                                      const std::vector<std::string>& keys) {
+  // A multiget spans a handful of shards at most: a linear scan over the slices built so
+  // far finds a key's slice without a map and its node allocations.
   std::vector<ShardSlice> slices;
-  std::map<size_t, size_t> slice_of_shard;  // shard index -> slices_ position
   for (size_t pos = 0; pos < keys.size(); ++pos) {
     const size_t shard = router.ShardIndexFor(keys[pos]);
-    auto [it, inserted] = slice_of_shard.emplace(shard, slices.size());
-    if (inserted) {
-      slices.push_back(ShardSlice{shard, {}, {}});
+    auto it = std::find_if(slices.begin(), slices.end(),
+                           [shard](const ShardSlice& slice) { return slice.shard == shard; });
+    if (it == slices.end()) {
+      it = slices.insert(slices.end(), ShardSlice{shard, {}, {}});
     }
-    slices[it->second].keys.push_back(keys[pos]);
-    slices[it->second].positions.push_back(pos);
+    it->keys.push_back(keys[pos]);
+    it->positions.push_back(pos);
   }
   return slices;
 }
@@ -290,36 +294,78 @@ bool BindingRouter::ShedIfOverloaded(size_t shard_index) {
   return true;
 }
 
+// The outstanding-slot accounting of one plan on one shard, in one pooled block: the
+// shard's counters, the done flag, and per wrapped step the binding's own fetcher plus
+// the emitter the pipeline ran that step with. The wrappers capture one pointer to it,
+// so they stay inside their InlineFunction buffers and copying them (store clients copy
+// their emitter into every response closure) allocates nothing. A plan's fetchers run
+// once each.
+struct BindingRouter::OutstandingTracker {
+  struct Step {
+    LevelFetcher inner;
+    std::optional<LevelEmitter> emit;  // set when the step runs
+  };
+
+  // The emitter a tracked step hands its binding fetcher: the first emission at the
+  // strongest level (value, confirmation or error) is the invocation's terminal response
+  // and releases the slot; every emission then goes on to the pipeline.
+  struct Emit {
+    std::shared_ptr<OutstandingTracker> tracker;
+    size_t step;
+
+    void operator()(ConsistencyLevel level, StatusOr<OpResult>&& result,
+                    ResponseKind kind) const {
+      if (level == tracker->strongest && !tracker->done) {
+        tracker->done = true;
+        tracker->counters->Release();
+      }
+      (*tracker->steps[step].emit)(level, std::move(result), kind);
+    }
+  };
+
+  // The fetcher that replaces a step covering the strongest level.
+  struct Fetch {
+    std::shared_ptr<OutstandingTracker> tracker;
+    size_t step;
+
+    void operator()(const Operation& op, LevelEmitter emit) const {
+      Step& wrapped = tracker->steps[step];
+      wrapped.emit.emplace(std::move(emit));
+      wrapped.inner(op, LevelEmitter(Emit{tracker, step}));
+    }
+  };
+
+  OutstandingTracker(std::shared_ptr<ShardCounters> counters, ConsistencyLevel strongest)
+      : counters(std::move(counters)), strongest(strongest) {}
+
+  std::shared_ptr<ShardCounters> counters;
+  ConsistencyLevel strongest;
+  bool done = false;
+  SmallVec<Step, 1> steps;
+};
+
 void BindingRouter::TrackOutstanding(InvocationPlan& plan, ConsistencyLevel strongest,
-                                     std::shared_ptr<ShardCounters> counters) {
+                                     const std::shared_ptr<ShardCounters>& counters) {
+  static_assert(LevelFetcher::StoresInline<OutstandingTracker::Fetch>(),
+                "the router's tracked fetcher must not allocate");
+  static_assert(LevelEmitter::Sink::StoresInline<OutstandingTracker::Emit>(),
+                "the router's tracked emitter must not allocate");
   // The slot is claimed only when a step covering the strongest level was actually
-  // wrapped: its first emission at that level — value, confirmation, or error — is the
-  // invocation's terminal response and releases the slot. A plan covering no such step
-  // is rejected by the pipeline before any step runs; claiming a slot for it up front
-  // would leak the slot forever.
-  auto done = std::make_shared<bool>(false);
-  bool wrapped_any = false;
+  // wrapped. A plan covering no such step is rejected by the pipeline before any step
+  // runs; claiming a slot for it up front would leak the slot forever.
+  std::shared_ptr<OutstandingTracker> tracker;
   for (FetchStep& step : plan.steps) {
     if (std::find(step.levels.begin(), step.levels.end(), strongest) == step.levels.end()) {
       continue;
     }
-    wrapped_any = true;
-    LevelFetcher inner = std::move(step.fetch);
-    step.fetch = [inner = std::move(inner), strongest, counters, done](
-                     const Operation& op, LevelEmitter emit) {
-      LevelEmitter wrapped([emit = std::move(emit), strongest, counters, done](
-                               ConsistencyLevel level, StatusOr<OpResult> result,
-                               ResponseKind kind) {
-        if (level == strongest && !*done) {
-          *done = true;
-          counters->Release();
-        }
-        emit(level, std::move(result), kind);
-      });
-      inner(op, std::move(wrapped));
-    };
+    if (tracker == nullptr) {
+      tracker = PooledMakeShared<OutstandingTracker>(counters, strongest);
+    }
+    const size_t index = tracker->steps.size();
+    tracker->steps.push_back(OutstandingTracker::Step{std::move(step.fetch), std::nullopt});
+    step.fetch = OutstandingTracker::Fetch{tracker, index};
   }
-  if (wrapped_any) {
+  if (tracker != nullptr) {
     counters->outstanding++;
   }
 }
@@ -367,10 +413,15 @@ InvocationPlan BindingRouter::PlanInvocation(const Operation& op, const LevelSet
     return InvocationPlan::Rejected(
         Status::InvalidArgument("multiget through the router needs at least one key"));
   }
-  std::vector<ShardSlice> slices = SliceByShard(*this, op.keys);
-  if (slices.size() == 1) {
-    return PlanOnShard(slices.front().shard, op, levels, "the batch");
+  // A multiget that sits on one shard (every flushed read cohort, barring a ring change
+  // mid-window) delegates wholesale, like a single-key read: no slices are built.
+  const size_t first_shard = ShardIndexFor(op.keys.front());
+  if (std::all_of(op.keys.begin() + 1, op.keys.end(), [&](const std::string& key) {
+        return ShardIndexFor(key) == first_shard;
+      })) {
+    return PlanOnShard(first_shard, op, levels, "the batch");
   }
+  std::vector<ShardSlice> slices = SliceByShard(*this, op.keys);
 
   // Admission across every involved shard: one overloaded coordinator sheds the whole
   // scatter-gather (its merged final could not complete anyway).

@@ -153,10 +153,12 @@ class BindingRouter : public Binding {
     std::shared_ptr<ShardCounters> counters;
   };
 
+  struct OutstandingTracker;
+
   // Wraps the plan's final-covering steps so `counters->outstanding` drops exactly once
   // when the strongest requested level is emitted (value, confirmation, or error).
   static void TrackOutstanding(InvocationPlan& plan, ConsistencyLevel strongest,
-                               std::shared_ptr<ShardCounters> counters);
+                               const std::shared_ptr<ShardCounters>& counters);
   bool ShedIfOverloaded(size_t shard_index);
   // The one shard-local planning path: admission-check the shard (`what` names the
   // shed work in the error message), delegate the plan, and claim an outstanding slot.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <string_view>
 #include <utility>
 
 namespace icg {
@@ -108,9 +107,7 @@ InvocationPipeline::InvocationPipeline(Binding* binding, EventLoop* loop, Client
     : binding_(binding), loop_(loop), stats_(stats),
       supported_levels_(binding->SupportedLevels()),
       binding_name_(binding->Name()),
-      scheduler_(loop, [this](BatchScheduler::Cohort cohort) {
-        OnCohortFlush(std::move(cohort));
-      }) {
+      scheduler_(loop, [this](BatchScheduler::Cohort& cohort) { OnCohortFlush(cohort); }) {
   assert(binding_ != nullptr);
   assert(stats_ != nullptr);
 }
@@ -290,12 +287,23 @@ void InvocationPipeline::DeliverToEntry(const Waiters& waiters, ConsistencyLevel
   Deliver(*waiters[present - 1], level, std::move(result), kind);
 }
 
-void InvocationPipeline::OnCohortFlush(BatchScheduler::Cohort cohort) {
+void InvocationPipeline::OnCohortFlush(BatchScheduler::Cohort& cohort) {
   // Re-consult the binding's scope per queued operation: a ring rebalance may have moved
-  // keys while the window was open. Operations whose scope changed flush in their own
-  // re-routed group, so a batched submission never spans scopes.
+  // keys while the window was open. With no move — every operation still in the scope
+  // it was admitted under — the cohort flushes whole.
+  const bool unmoved = std::all_of(cohort.ops.begin(), cohort.ops.end(),
+                                   [&](const BatchScheduler::Pending& pending) {
+                                     return binding_->CoalescingScope(pending.op) ==
+                                            cohort.scope;
+                                   });
+  if (unmoved) {
+    FlushGroup(cohort.is_read, cohort.levels, cohort.ops);
+    return;
+  }
+  // Operations whose scope changed flush in their own re-routed group, so a batched
+  // submission never spans scopes. Groups launch in first-arrival order.
   std::map<std::string, std::vector<BatchScheduler::Pending>> groups;
-  std::vector<std::string> order;  // first-arrival order, for deterministic launches
+  std::vector<std::string> order;
   for (auto& pending : cohort.ops) {
     std::string scope = binding_->CoalescingScope(pending.op);
     auto [it, inserted] = groups.emplace(std::move(scope), std::vector<BatchScheduler::Pending>());
@@ -305,12 +313,12 @@ void InvocationPipeline::OnCohortFlush(BatchScheduler::Cohort cohort) {
     it->second.push_back(std::move(pending));
   }
   for (const std::string& scope : order) {
-    FlushGroup(cohort.is_read, cohort.levels, std::move(groups[scope]));
+    FlushGroup(cohort.is_read, cohort.levels, groups[scope]);
   }
 }
 
 void InvocationPipeline::FlushGroup(bool is_read, const LevelVec& levels,
-                                    std::vector<BatchScheduler::Pending> ops) {
+                                    std::vector<BatchScheduler::Pending>& ops) {
   if (ops.size() > 1) {
     stats_->cross_tick_batches++;
     if (is_read) {
@@ -322,14 +330,20 @@ void InvocationPipeline::FlushGroup(bool is_read, const LevelVec& levels,
   }
   auto batch = PooledMakeShared<Batch>();
   batch->level_set = LevelSet(levels);
+  batch->entries.reserve(ops.size());
   // Reads get one entry per distinct key, shared by its waiters; writes one per write, in
-  // arrival order — program order, since a multiput applies its entries in order.
+  // arrival order — program order, since a multiput applies its entries in order. A
+  // cohort holds a few distinct keys, so a linear scan over the entries opened so far
+  // finds a read's entry.
   SmallVec<size_t, 4> first_op;  // per entry: the index in `ops` that opened it
-  std::map<std::string_view, size_t> entry_of_key;
   for (size_t i = 0; i < ops.size(); ++i) {
-    size_t entry = first_op.size();
+    size_t entry = 0;
     if (is_read) {
-      entry = entry_of_key.emplace(ops[i].op.key, entry).first->second;
+      while (entry < first_op.size() && ops[first_op[entry]].op.key != ops[i].op.key) {
+        entry++;
+      }
+    } else {
+      entry = first_op.size();
     }
     if (entry == first_op.size()) {
       first_op.push_back(i);

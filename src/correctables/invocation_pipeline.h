@@ -32,7 +32,6 @@
 #ifndef ICG_CORRECTABLES_INVOCATION_PIPELINE_H_
 #define ICG_CORRECTABLES_INVOCATION_PIPELINE_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -124,8 +123,9 @@ class InvocationPipeline {
     std::string map_key;         // open_batches_ entry while joinable
     // One list per entry of `op`: a single entry for an unbatched, coalesced or
     // one-entry flushed submission; one per distinct key (reads) or per write, in the
-    // request's order, for a flushed multi-entry cohort.
-    SmallVec<Waiters, 1> entries;
+    // request's order, for a flushed multi-entry cohort (most of which hold two, so
+    // two lists sit inline).
+    SmallVec<Waiters, 2> entries;
     struct Emission {
       ConsistencyLevel level;
       StatusOr<OpResult> result;
@@ -143,10 +143,12 @@ class InvocationPipeline {
   // result itself (no copy).
   void DeliverToEntry(const Waiters& waiters, ConsistencyLevel level, StatusOr<OpResult> result,
                       ResponseKind kind);
-  // Cross-tick flush: regroups a cohort by current scope and launches one batch per group.
-  void OnCohortFlush(BatchScheduler::Cohort cohort);
+  // Cross-tick flush: launches the cohort as one batch, or, when a ring change moved some
+  // of its operations to another scope, one batch per current scope.
+  void OnCohortFlush(BatchScheduler::Cohort& cohort);
+  // Launches `ops` (all in one scope) as one batch; takes their keys, values and waiters.
   void FlushGroup(bool is_read, const LevelVec& levels,
-                  std::vector<BatchScheduler::Pending> ops);
+                  std::vector<BatchScheduler::Pending>& ops);
   // Translates one raw response into a view transition on one waiter.
   void Deliver(Invocation& inv, ConsistencyLevel level, StatusOr<OpResult> result,
                ResponseKind kind);
@@ -168,9 +170,7 @@ class InvocationPipeline {
   SimTime last_write_stamp_ = 0;
   // Pool-allocated nodes: map churn (one insert/erase per coalescable read batch)
   // recycles node blocks instead of hitting the global allocator.
-  std::map<std::string, std::shared_ptr<Batch>, std::less<std::string>,
-           PoolAllocator<std::pair<const std::string, std::shared_ptr<Batch>>>>
-      open_batches_;
+  PooledMap<std::string, std::shared_ptr<Batch>> open_batches_;
   // Reused lookup-key buffer for BatchKey construction; its capacity persists across
   // submissions, so steady-state key building allocates nothing.
   std::string scratch_key_;

@@ -72,7 +72,9 @@ std::vector<NodeId> Partitioner::ReplicasFor(const std::string& key) const {
   return replicas;
 }
 
-NodeId Partitioner::PrimaryFor(const std::string& key) const { return ReplicasFor(key).front(); }
+// The ring walk in ReplicasFor starts at the key's owning vnode, so its first hit is the
+// owner: the primary needs no replica list.
+NodeId Partitioner::PrimaryFor(const std::string& key) const { return OwnerOfToken(TokenOf(key)); }
 
 bool Partitioner::RingDiff::MovedToken(uint64_t token) const {
   for (const TokenRange& range : moved) {

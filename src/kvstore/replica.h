@@ -254,14 +254,10 @@ class KvReplica {
   ServiceQueue service_;
   Counters counters_;
 
-  // In-flight requests by id: one node insert and erase per read, recycled by the pool.
-  template <typename V>
-  using PendingMap = std::map<uint64_t, V, std::less<uint64_t>,
-                              PoolAllocator<std::pair<const uint64_t, V>>>;
-
   std::vector<KvReplica*> peers_;  // other replicas, nearest first
   Store storage_;
-  PendingMap<PendingRead> pending_reads_;
+  // In-flight requests by id: one node insert and erase per read, recycled by the pool.
+  PooledMap<uint64_t, PendingRead> pending_reads_;
   uint64_t next_request_id_ = 1;
   uint64_t write_seq_ = 0;  // disambiguates same-microsecond writes from this coordinator
 

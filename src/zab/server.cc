@@ -28,15 +28,16 @@ void ZabServer::SubmitWrite(NodeId client_id, ZabOp op, bool icg, ZabResponseFn 
   op.origin_request = request_id;
   pending_requests_[request_id] = PendingClientRequest{client_id, std::move(respond)};
   counters_.writes_received++;
+  SharedOp shared = PooledMakeShared<ZabOp>(std::move(op));
 
   if (icg) {
     // CZK fast path: simulate on local state, leak the preliminary before coordination.
-    service_.Submit(config_->local_sim_service, [this, op, client_id, request_id]() {
+    service_.Submit(config_->local_sim_service, [this, op = shared, client_id, request_id]() {
       auto it = pending_requests_.find(request_id);
       if (it == pending_requests_.end()) {
         return;
       }
-      OpResult preliminary = SimulateLocally(op);
+      OpResult preliminary = SimulateLocally(*op);
       counters_.preliminaries_sent++;
       const int64_t bytes = preliminary.WireBytes();
       network_->Send(id_, client_id, bytes,
@@ -48,27 +49,27 @@ void ZabServer::SubmitWrite(NodeId client_id, ZabOp op, bool icg, ZabResponseFn 
 
   if (is_leader()) {
     service_.Submit(config_->leader_propose_service,
-                    [this, op = std::move(op)]() mutable { LeaderPropose(std::move(op)); });
+                    [this, op = std::move(shared)]() mutable { LeaderPropose(std::move(op)); });
   } else {
     ZabServer* leader = leader_;
-    const int64_t bytes = op.WireBytes();
-    network_->Send(id_, leader->id(), bytes, [leader, op = std::move(op)]() mutable {
+    const int64_t bytes = shared->WireBytes();
+    network_->Send(id_, leader->id(), bytes, [leader, op = std::move(shared)]() mutable {
       leader->HandleForward(std::move(op));
     });
   }
 }
 
-void ZabServer::HandleForward(ZabOp op) {
+void ZabServer::HandleForward(SharedOp op) {
   assert(is_leader());
   service_.Submit(config_->leader_propose_service, [this, op = std::move(op)]() mutable {
     LeaderPropose(std::move(op));
   });
 }
 
-void ZabServer::LeaderPropose(ZabOp op) {
+void ZabServer::LeaderPropose(SharedOp op) {
   const uint64_t zxid = next_zxid_++;
   for (ZabServer* peer : peers_) {
-    network_->Send(id_, peer->id(), op.WireBytes() + 16,
+    network_->Send(id_, peer->id(), op->WireBytes() + 16,
                    [peer, zxid, op]() mutable { peer->HandlePropose(zxid, std::move(op)); });
   }
   proposals_[zxid] = PendingProposal{std::move(op), /*acks=*/1, /*quorum_reached=*/false};
@@ -76,7 +77,7 @@ void ZabServer::LeaderPropose(ZabOp op) {
   LeaderMaybeCommit();  // a single-node ensemble reaches quorum immediately
 }
 
-void ZabServer::HandlePropose(uint64_t zxid, ZabOp op) {
+void ZabServer::HandlePropose(uint64_t zxid, SharedOp op) {
   service_.Submit(config_->follower_ack_service, [this, zxid, op = std::move(op)]() {
     ZabServer* leader = leader_;
     const NodeId self = id_;
@@ -105,12 +106,12 @@ void ZabServer::LeaderMaybeCommit() {
       return;
     }
     const uint64_t zxid = it->first;
-    ZabOp op = std::move(it->second.op);
+    SharedOp op = std::move(it->second.op);
     proposals_.erase(it);
     last_committed_zxid_ = zxid;
     counters_.commits++;
     for (ZabServer* peer : peers_) {
-      network_->Send(id_, peer->id(), op.WireBytes() + 16,
+      network_->Send(id_, peer->id(), op->WireBytes() + 16,
                      [peer, zxid, op]() mutable { peer->HandleCommit(zxid, std::move(op)); });
     }
     uncommitted_[zxid] = std::move(op);
@@ -118,7 +119,7 @@ void ZabServer::LeaderMaybeCommit() {
   }
 }
 
-void ZabServer::HandleCommit(uint64_t zxid, ZabOp op) {
+void ZabServer::HandleCommit(uint64_t zxid, SharedOp op) {
   uncommitted_[zxid] = std::move(op);
   ApplyInOrder();
 }
@@ -132,11 +133,11 @@ void ZabServer::ApplyInOrder() {
       return;
     }
     const uint64_t zxid = it->first;
-    ZabOp op = std::move(it->second);
+    SharedOp op = std::move(it->second);
     uncommitted_.erase(it);
     last_applied_zxid_ = zxid;
     service_.Submit(config_->commit_apply_service,
-                    [this, zxid, op = std::move(op)]() { ApplyCommitted(zxid, op); });
+                    [this, zxid, op = std::move(op)]() { ApplyCommitted(zxid, *op); });
   }
 }
 

@@ -16,11 +16,13 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/common/inline_function.h"
+#include "src/common/pooled.h"
 #include "src/common/status.h"
 #include "src/correctables/binding.h"
 #include "src/correctables/operation.h"
@@ -106,10 +108,13 @@ class ZabServer {
   void ReadData(NodeId client_id, const std::string& queue, int64_t seq, ZabResponseFn respond);
 
   // --- Zab protocol handlers (invoked at this node via the network) -------------------
-  void HandleForward(ZabOp op);                    // follower -> leader
-  void HandlePropose(uint64_t zxid, ZabOp op);     // leader -> follower
+  // An op is immutable once its session server accepts it, so every message of its
+  // broadcast carries the one shared copy (each message still pays the op's wire bytes).
+  using SharedOp = std::shared_ptr<const ZabOp>;
+  void HandleForward(SharedOp op);                 // follower -> leader
+  void HandlePropose(uint64_t zxid, SharedOp op);  // leader -> follower
   void HandleAck(uint64_t zxid, NodeId follower);  // follower -> leader
-  void HandleCommit(uint64_t zxid, ZabOp op);      // leader -> follower
+  void HandleCommit(uint64_t zxid, SharedOp op);   // leader -> follower
 
   // --- Direct local access (tests, preloading) ----------------------------------------
   QueueState& LocalQueue(const std::string& queue) { return queues_[queue]; }
@@ -122,12 +127,12 @@ class ZabServer {
     ZabResponseFn respond;
   };
   struct PendingProposal {
-    ZabOp op;
+    SharedOp op;
     int acks = 0;
     bool quorum_reached = false;
   };
 
-  void LeaderPropose(ZabOp op);
+  void LeaderPropose(SharedOp op);
   void LeaderMaybeCommit();
   void ApplyInOrder();
   void ApplyCommitted(uint64_t zxid, const ZabOp& op);
@@ -151,8 +156,9 @@ class ZabServer {
 
   std::map<std::string, QueueState> queues_;
 
-  // Session-server state: requests awaiting their committed result.
-  std::map<uint64_t, PendingClientRequest> pending_requests_;
+  // Session-server state: requests awaiting their committed result. This map and the
+  // two per-zxid maps below insert and erase one node per op, recycled by the pool.
+  PooledMap<uint64_t, PendingClientRequest> pending_requests_;
   uint64_t next_request_id_ = 1;
 
   // Speculative cursors for the CZK fast path: the simulation must account for this
@@ -167,11 +173,11 @@ class ZabServer {
 
   // Leader state.
   uint64_t next_zxid_ = 1;
-  std::map<uint64_t, PendingProposal> proposals_;
+  PooledMap<uint64_t, PendingProposal> proposals_;
   uint64_t last_committed_zxid_ = 0;
 
   // Commit application (all servers): commits buffered until contiguous.
-  std::map<uint64_t, ZabOp> uncommitted_;
+  PooledMap<uint64_t, SharedOp> uncommitted_;
   uint64_t last_applied_zxid_ = 0;
 };
 

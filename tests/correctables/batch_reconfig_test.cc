@@ -37,7 +37,7 @@ struct Recorder {
   explicit Recorder(EventLoop* loop) : loop(loop) {}
 
   BatchScheduler::FlushFn Fn() {
-    return [this](BatchScheduler::Cohort cohort) {
+    return [this](BatchScheduler::Cohort& cohort) {
       flushed.push_back(Flushed{loop->Now(), std::move(cohort)});
     };
   }
@@ -185,6 +185,51 @@ TEST(BatchReconfig, RepeatedReconfigurationNeverDropsOrDuplicatesWaiters) {
   EXPECT_EQ(recorder.TotalOps(), 12u);
   EXPECT_EQ(scheduler.pending_cohorts(), 0u);
   EXPECT_EQ(scheduler.pending_ops(), 0u);
+}
+
+// FlushAll and a shrink-to-0 flush pending cohorts in one fixed order, whatever order
+// they opened in: reads before writes, then by scope, then by level names. Launch order
+// decides message order, so it must not depend on how the cohorts are stored.
+TEST(BatchReconfig, BarrierFlushesFollowKindScopeAndLevelOrder) {
+  LevelVec icg;
+  icg.push_back(ConsistencyLevel::kWeak);
+  icg.push_back(ConsistencyLevel::kStrong);
+  struct Cohort {
+    bool is_read;
+    std::string scope;
+    LevelVec levels;
+  };
+  const std::vector<Cohort> opening = {{false, "s1", StrongOnly()},
+                                       {true, "s2", StrongOnly()},
+                                       {true, "s1", icg},
+                                       {true, "s1", StrongOnly()},
+                                       {true, "s10", StrongOnly()}};
+  const std::vector<size_t> flush_order = {3, 2, 4, 1, 0};  // indices into `opening`
+
+  for (const bool shrink_to_zero : {false, true}) {
+    SCOPED_TRACE(shrink_to_zero ? "SetConfig to 0" : "FlushAll");
+    EventLoop loop;
+    Recorder recorder(&loop);
+    BatchScheduler scheduler(&loop, recorder.Fn());
+    scheduler.SetConfig(BatchConfig{Millis(20), 128});
+    for (const Cohort& cohort : opening) {
+      scheduler.Admit(cohort.is_read, cohort.scope, cohort.levels, Operation::Get("k"),
+                      std::make_shared<int>(0));
+    }
+    if (shrink_to_zero) {
+      scheduler.SetConfig(BatchConfig{0, 128});
+    } else {
+      scheduler.FlushAll();
+    }
+    ASSERT_EQ(recorder.flushed.size(), opening.size());
+    for (size_t i = 0; i < flush_order.size(); ++i) {
+      const Cohort& want = opening[flush_order[i]];
+      const BatchScheduler::Cohort& got = recorder.flushed[i].cohort;
+      EXPECT_EQ(got.is_read, want.is_read) << "flush " << i;
+      EXPECT_EQ(got.scope, want.scope) << "flush " << i;
+      EXPECT_EQ(got.levels, want.levels) << "flush " << i;
+    }
+  }
 }
 
 TEST(BatchReconfig, SetConfigWithNoPendingCohortsOnlyChangesFutureAdmissions) {

@@ -36,10 +36,14 @@ class FakeShardBinding : public Binding {
   int plans = 0;
   Status fail_final = Status::Ok();  // non-OK: the strong view reports this error
   std::vector<Operation> planned_ops;  // every operation this shard was asked to serve
+  std::vector<std::string>* plan_log = nullptr;  // if set: names of planning shards, in order
 
   InvocationPlan PlanInvocation(const Operation& op, const LevelSet& levels) override {
     plans++;
     planned_ops.push_back(op);
+    if (plan_log != nullptr) {
+      plan_log->push_back(name_);
+    }
     InvocationPlan plan;
     if (op.type == OpType::kMultiPut) {
       // Batched write: acknowledge the whole batch once at the strongest level.
@@ -303,6 +307,56 @@ TEST(BindingRouter, RebalanceMidWindowReRoutesThePendingBatch) {
   EXPECT_EQ(s1->planned_ops[0].key, "kb");
 }
 
+// A ring change that moves only some keys of a pending read cohort: the keys that
+// stayed still go out as one multiget to their shard, the moved ones as another to
+// their new shard, launched in first-arrival order, and every waiter — two of them on
+// one moved key — gets its own key's value.
+TEST(BindingRouter, PartialMoveMidWindowRegroupsOnlyTheMovedReads) {
+  EventLoop loop;
+  auto s0 = std::make_shared<FakeShardBinding>("s0");
+  auto s1 = std::make_shared<FakeShardBinding>("s1");
+  std::vector<std::string> plan_log;
+  s0->plan_log = &plan_log;
+  s1->plan_log = &plan_log;
+  auto owner = std::make_shared<std::map<std::string, size_t>>();
+  auto router = std::make_shared<BindingRouter>(
+      std::vector<std::shared_ptr<Binding>>{s0, s1},
+      [owner](const std::string& key) -> size_t {
+        auto it = owner->find(key);
+        return it != owner->end() ? it->second : 0;
+      });
+  CorrectableClient client(router, &loop);
+  BatchConfig batch;
+  batch.batch_window = Millis(5);
+  client.SetBatchConfig(batch);
+
+  for (const char* key : {"ka", "kb", "kc", "kd"}) {
+    (*owner)[key] = 0;
+  }
+  std::vector<std::pair<std::string, Correctable<OpResult>>> reads;
+  for (const char* key : {"ka", "kb", "kc", "kb", "kd"}) {
+    reads.emplace_back(key, client.Invoke(Operation::Get(key)));
+  }
+  (*owner)["kb"] = 1;
+  (*owner)["kd"] = 1;
+  loop.Run();
+
+  EXPECT_EQ(plan_log, (std::vector<std::string>{"s0", "s1"}));
+  ASSERT_EQ(s0->planned_ops.size(), 1u);
+  ASSERT_EQ(s1->planned_ops.size(), 1u);
+  EXPECT_EQ(s0->planned_ops[0].type, OpType::kMultiGet);
+  EXPECT_EQ(s0->planned_ops[0].keys, (std::vector<std::string>{"ka", "kc"}));
+  EXPECT_EQ(s1->planned_ops[0].type, OpType::kMultiGet);
+  EXPECT_EQ(s1->planned_ops[0].keys, (std::vector<std::string>{"kb", "kd"}));
+  for (auto& [key, read] : reads) {
+    ASSERT_EQ(read.state(), CorrectableState::kFinal) << key;
+    const std::string shard = (*owner)[key] == 0 ? "s0" : "s1";
+    EXPECT_EQ(read.Final().value().value, shard + "/" + key);
+  }
+  EXPECT_EQ(client.stats().cross_tick_batches, 2);
+  EXPECT_EQ(client.stats().coalesced_reads, 3);  // 2 reads share one launch, 3 another
+}
+
 TEST(BindingRouter, CrossShardMultiPutRejectedWhenBypassingTheScheduler) {
   RouterFixture f;
   auto c = f.client.InvokeStrong(Operation::MultiPut({"k0", "k1"}, {"a", "b"}));
@@ -404,7 +458,7 @@ class HoldingBinding : public Binding {
   std::vector<ConsistencyLevel> SupportedLevels() const override {
     return {ConsistencyLevel::kWeak, ConsistencyLevel::kStrong};
   }
-  InvocationPlan PlanInvocation(const Operation& op, const LevelSet& levels) override {
+  InvocationPlan PlanInvocation(const Operation& /*op*/, const LevelSet& levels) override {
     InvocationPlan plan;
     plan.AddSpan(levels.levels(), [this](const Operation& o, LevelEmitter emit) {
       held_.emplace_back(o, std::move(emit));
@@ -412,6 +466,12 @@ class HoldingBinding : public Binding {
     return plan;
   }
   size_t held() const { return held_.size(); }
+  // Reports one response through the emitter of the `index`-th parked invocation,
+  // which stays parked.
+  void EmitHeld(size_t index, ConsistencyLevel level, StatusOr<OpResult> result,
+                ResponseKind kind = ResponseKind::kValue) {
+    held_.at(index).second(level, std::move(result), kind);
+  }
   void ReleaseAll() {
     std::vector<std::pair<Operation, LevelEmitter>> draining;
     draining.swap(held_);
@@ -466,6 +526,44 @@ TEST(BindingRouter, HotShardAloneShedsWithRetryableStatus) {
   h0->ReleaseAll();
   h1->ReleaseAll();
   EXPECT_EQ(retried.Final().value().value, "h0/k4");
+}
+
+// An invocation's slot is released by its first strongest-level emission, whichever
+// kind it is, and never again: a repeated final must not free the slot another
+// invocation still holds.
+TEST(BindingRouter, OutstandingSlotReleasedExactlyOnceForEveryKindOfFinal) {
+  OpResult value;
+  value.found = true;
+  value.value = "v";
+  const std::vector<std::pair<StatusOr<OpResult>, ResponseKind>> finals = {
+      {value, ResponseKind::kValue},
+      {OpResult{}, ResponseKind::kConfirmation},
+      {Status::Unavailable("coordinator down"), ResponseKind::kValue},
+  };
+  for (const auto& [final_result, kind] : finals) {
+    SCOPED_TRACE(final_result.ok() ? "value or confirmation" : "error");
+    auto h0 = std::make_shared<HoldingBinding>("h0");
+    auto router = std::make_shared<BindingRouter>(
+        std::vector<std::shared_ptr<Binding>>{h0},
+        [](const std::string&) -> size_t { return 0; });
+    CorrectableClient client(router);
+    auto first = client.Invoke(Operation::Get("k0"));
+    auto second = client.Invoke(Operation::Get("k1"));
+    auto outstanding = [&router] { return router->LoadSnapshot().shards[0].outstanding; };
+    ASSERT_EQ(outstanding(), 2u);
+
+    h0->EmitHeld(0, ConsistencyLevel::kWeak, value);  // a preliminary keeps the slot
+    EXPECT_EQ(outstanding(), 2u);
+    h0->EmitHeld(0, ConsistencyLevel::kStrong, final_result, kind);
+    EXPECT_EQ(outstanding(), 1u);
+    EXPECT_NE(first.state(), CorrectableState::kUpdating);
+    h0->EmitHeld(0, ConsistencyLevel::kStrong, final_result, kind);  // repeated final
+    EXPECT_EQ(outstanding(), 1u);
+
+    h0->ReleaseAll();
+    EXPECT_EQ(second.state(), CorrectableState::kFinal);
+    EXPECT_EQ(outstanding(), 0u);
+  }
 }
 
 TEST(BindingRouter, OutstandingAccountingSurvivesRingChanges) {

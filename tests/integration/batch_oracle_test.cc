@@ -446,7 +446,8 @@ TEST(BatchOracle, BatchedCacheRefreshKeepsPerKeyVersions) {
   EXPECT_EQ(stack.cache->Get("slow")->version, (Version{2, 1}));
   // A later legitimate update of "slow" (version 3 > 2, but << 900) must still refresh.
   stack.cache->Refresh("slow", OpResult{.found = true, .value = "updated", .seqno = -1,
-                                        .version = Version{3, 1}});
+                                        .version = Version{3, 1}, .key_found = {},
+                                        .key_versions = {}});
   EXPECT_EQ(stack.cache->Get("slow")->value, "updated");
 }
 

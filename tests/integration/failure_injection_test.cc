@@ -232,7 +232,8 @@ TEST(BatchFailures, BatchedWriteRejectionFansToExactlyTheQueuedWriters) {
                                {Region::kIreland, Region::kFrankfurt, Region::kVirginia},
                                batch);
   stack.cluster->Preload("k1", "v1");
-  stack.cache->Put("k1", OpResult{.found = true, .value = "v1", .seqno = -1, .version = {}});
+  stack.cache->Put("k1", OpResult{.found = true, .value = "v1", .seqno = -1, .version = {},
+                                  .key_found = {}, .key_versions = {}});
   stack.binding->SetDisconnected(true);
 
   auto w1 = stack.client->InvokeStrong(Operation::Put("k1", "x"));

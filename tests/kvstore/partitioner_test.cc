@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 namespace icg {
 namespace {
@@ -35,11 +37,23 @@ TEST(Partitioner, Deterministic) {
   }
 }
 
+// PrimaryFor reads the owning vnode directly; it must name the same node the replica
+// walk puts first, at every replication factor and on successor rings too.
 TEST(Partitioner, PrimaryIsFirstReplica) {
-  Partitioner p({0, 1, 2}, 3);
-  for (int i = 0; i < 20; ++i) {
-    const std::string key = "k" + std::to_string(i);
-    EXPECT_EQ(p.PrimaryFor(key), p.ReplicasFor(key).front());
+  for (const int rf : {1, 2, 3}) {
+    std::vector<Partitioner> rings;
+    rings.emplace_back(std::vector<NodeId>{0, 1, 2}, rf);
+    rings.push_back(rings.back().WithNodes({0, 1, 2, 3}));  // a join
+    rings.push_back(rings.back().WithNodes({0, 2, 3}));     // a leave
+    rings.push_back(rings.back().WithNodes({3}));           // down to one node
+    for (const Partitioner& ring : rings) {
+      int mismatches = 0;
+      for (int i = 0; i < 10000; ++i) {
+        const std::string key = "k" + std::to_string(i);
+        mismatches += ring.PrimaryFor(key) != ring.ReplicasFor(key).front() ? 1 : 0;
+      }
+      EXPECT_EQ(mismatches, 0) << "rf " << rf << " epoch " << ring.epoch();
+    }
   }
 }
 
